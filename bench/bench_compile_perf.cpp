@@ -1,14 +1,12 @@
-// Experiment E6 — compiler pipeline performance (Fig. 3).
+// Experiment E6 — compiler pipeline performance (Fig. 3), as gated JSON
+// sections. Run as `bench_compile_perf --json <path> [gate options]`;
+// without `--json` it prints usage and exits 2. Per-phase timings of
+// single compiles are perfbench's `compile_cold` workload.
 //
-// google-benchmark timings for each frontend phase (parse, elaborate,
-// sugar, lower, DRC, IR emission, VHDL emission) on the real TPC-H inputs,
-// plus a template-instantiation scaling benchmark (parallelize with growing
-// channel counts exercises the monomorphiser and the generative for).
-//
-// With `--json <path>` the harness instead measures the cold-vs-warm
-// behaviour of a driver::CompileSession on the TPC-H workload: cold rounds
-// (default 3) each compile every query in a *fresh* session, warm rounds
-// (default 5) recompile the same queries in one surviving session so the
+// The first section measures the cold-vs-warm behaviour of a
+// driver::CompileSession on the TPC-H workload: cold rounds (default 5)
+// each compile every query in a *fresh* session, warm rounds (default 7)
+// recompile the same queries in one surviving session so the
 // process-wide template memo and parse cache serve them. Identical work per
 // round, so each side reports its fastest round (noise-robust minimum).
 // Per-phase wall-clock (pipeline order), template-cache hit rates, emitted
@@ -54,8 +52,6 @@
 // the post-replay memo hit rate clears --min-warm-hit-rate, and
 // interactive traffic racing the replay is either served byte-identically
 // or shed within --max-shed-reply-ms.
-#include <benchmark/benchmark.h>
-
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -74,91 +70,13 @@
 #include "src/driver/compiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/parser/parser.hpp"
 #include "src/service/service.hpp"
-#include "src/stdlib/stdlib.hpp"
 #include "src/support/retry.hpp"
 #include "src/support/status.hpp"
 #include "src/support/text.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace {
-
-const tydi::tpch::QueryCase& query(std::size_t index) {
-  return tydi::tpch::queries()[index];
-}
-
-std::vector<tydi::driver::NamedSource> sources_for(
-    const tydi::tpch::QueryCase& q) {
-  return {{"fletcher.td", tydi::tpch::fletcher_source()},
-          {"query.td", std::string(q.source)}};
-}
-
-void BM_ParseOnly(benchmark::State& state) {
-  const auto& q = query(static_cast<std::size_t>(state.range(0)));
-  std::string text = std::string(tydi::stdlib::stdlib_source()) +
-                     tydi::tpch::fletcher_source() + std::string(q.source);
-  for (auto _ : state) {
-    tydi::support::SourceManager sm;
-    tydi::support::DiagnosticEngine diags(&sm);
-    auto id = sm.add("bench.td", text);
-    auto file = tydi::lang::parse(sm.text(id), id, diags);
-    benchmark::DoNotOptimize(file);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-
-void BM_FullPipeline(benchmark::State& state) {
-  const auto& q = query(static_cast<std::size_t>(state.range(0)));
-  auto sources = sources_for(q);
-  tydi::driver::CompileOptions options;
-  options.top = q.top_impl;
-  options.sugaring = q.sugaring;
-  for (auto _ : state) {
-    auto result = tydi::driver::compile(sources, options);
-    benchmark::DoNotOptimize(result.vhdl_text);
-  }
-}
-
-void BM_FrontendOnly(benchmark::State& state) {
-  const auto& q = query(static_cast<std::size_t>(state.range(0)));
-  auto sources = sources_for(q);
-  tydi::driver::CompileOptions options;
-  options.top = q.top_impl;
-  options.sugaring = q.sugaring;
-  options.emit_ir = false;
-  options.emit_vhdl = false;
-  for (auto _ : state) {
-    auto result = tydi::driver::compile(sources, options);
-    benchmark::DoNotOptimize(result.design);
-  }
-}
-
-void BM_TemplateInstantiationScaling(benchmark::State& state) {
-  const int channels = static_cast<int>(state.range(0));
-  std::string source = R"tydi(
-type t_data = Stream(Bit(64), d=1, c=2);
-impl pu of process_unit_s<type t_data, type t_data> @ external { }
-streamlet top_s { feed: t_data in, result: t_data out, }
-impl scale_top of top_s {
-  instance par(parallelize_i<type t_data, type t_data, impl pu, @CH@>),
-  feed => par.in_,
-  par.out => result,
-}
-)tydi";
-  std::string needle = "@CH@";
-  source.replace(source.find(needle), needle.size(),
-                 std::to_string(channels));
-  tydi::driver::CompileOptions options;
-  options.top = "scale_top";
-  options.emit_vhdl = false;
-  for (auto _ : state) {
-    auto result = tydi::driver::compile_source(source, options);
-    benchmark::DoNotOptimize(result.design);
-  }
-  state.SetComplexityN(channels);
-}
 
 // Pre-overhaul numbers measured on this container at the seed of this PR
 // (single-string CodeWriter, per-compile template cache): the JSON section
@@ -650,15 +568,6 @@ int run_compile_json(const JsonOptions& options) {
 
 }  // namespace
 
-BENCHMARK(BM_ParseOnly)->DenseRange(0, 5)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FrontendOnly)->DenseRange(0, 5)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FullPipeline)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TemplateInstantiationScaling)
-    ->RangeMultiplier(2)
-    ->Range(2, 64)
-    ->Unit(benchmark::kMicrosecond)
-    ->Complexity();
-
 /// Overload safety of the admission-controlled compile service: 4x as many
 /// retrying clients as workers, all requesting warm TPC-H Q6. Gates:
 /// accepted responses byte-identical to a single-shot compile, sheds
@@ -1127,9 +1036,8 @@ int main(int argc, char** argv) {
     if (overload_rc != 0) return overload_rc;
     return restart_rc;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::cerr << "usage: " << argv[0]
+            << " --json <path> [--cold-rounds N] [--warm-rounds N] "
+               "[--min-* / --max-* gate bounds]\n";
+  return 2;
 }

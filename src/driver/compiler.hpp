@@ -48,6 +48,8 @@ struct NamedSource {
 struct SourceStamp {
   std::string name;
   std::uint64_t hash = 0;
+
+  bool operator==(const SourceStamp&) const = default;
 };
 
 /// Stamps every source (same hash function as the session caches use for

@@ -167,4 +167,9 @@ class MetricsRegistry {
 /// rendering so the two surfaces agree.
 [[nodiscard]] std::string json_number(double v);
 
+/// Appends `s` to `out` as a quoted JSON string (quotes, backslashes and
+/// control bytes escaped) — the one string escaper behind METRICS, HEALTH
+/// and the trace export.
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace tydi::obs

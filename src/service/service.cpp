@@ -9,7 +9,7 @@
 #include "src/elab/memo.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/sim/guard.hpp"
+#include "src/support/rss.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi::service {
@@ -46,7 +46,10 @@ struct PendingRequest::State {
       static_cast<std::uint8_t>(CancelReason::kNone)};
 
   // Immutable after admission.
-  std::string line;  ///< envelope-stripped "VERB args..."
+  /// Handler of the request's queued verb (resolved by submit) and the
+  /// request line after the verb.
+  Response (*run)(CompileService&, std::istream&, State&) = nullptr;
+  std::string args;
   RequestEnvelope envelope;
   std::uint64_t request_id = 0;
   Clock::time_point admitted;
@@ -299,11 +302,147 @@ bool parse_budget(const std::string& token, double& out) {
   return true;
 }
 
-bool is_queued_verb(const std::string& verb) {
-  return verb == "TPCH" || verb == "FILE" || verb == "SLEEP";
+Response ok_response(std::string payload) {
+  Response r;
+  r.payload = std::move(payload);
+  return r;
+}
+
+/// Reads a compile verb's optional trailing [budget_ms]. False (with the
+/// reply in `error`) when it is present but malformed.
+bool read_budget(std::istream& args, double& budget_ms, Response& error) {
+  std::string token;
+  if (!(args >> token) || parse_budget(token, budget_ms)) return true;
+  error = error_response(StatusCode::kInvalidArgument,
+                         "bad budget_ms '" + token + "'");
+  return false;
 }
 
 }  // namespace
+
+/// One protocol verb. Queued verbs pass admission control and run on the
+/// worker pool; meta verbs run inline on the submitting thread — cheap,
+/// and they must stay responsive under overload (HEALTH during saturation
+/// is exactly when an operator needs an answer). `run` gets the request
+/// line after the verb.
+struct CompileService::Verb {
+  std::string_view name;
+  bool queued;
+  Response (*run)(CompileService& svc, std::istream& args,
+                  PendingRequest::State& state);
+};
+
+const CompileService::Verb CompileService::kVerbs[] = {
+    {"PING", false,
+     [](CompileService&, std::istream&, PendingRequest::State&) {
+       return ok_response("pong");
+     }},
+    {"STATS", false,
+     [](CompileService& svc, std::istream&, PendingRequest::State&) {
+       return ok_response(svc.stats_text());
+     }},
+    {"METRICS", false,
+     [](CompileService&, std::istream&, PendingRequest::State&) {
+       return ok_response(obs::MetricsRegistry::global().render_json());
+     }},
+    {"HEALTH", false,
+     [](CompileService& svc, std::istream&, PendingRequest::State&) {
+       return ok_response(svc.health_json());
+     }},
+    {"INVALIDATE", false,
+     [](CompileService& svc, std::istream&, PendingRequest::State&) {
+       svc.session_.invalidate();
+       return ok_response("invalidated");
+     }},
+    {"SNAPSHOT", false,
+     [](CompileService& svc, std::istream&, PendingRequest::State&) {
+       return svc.snapshot_now();
+     }},
+    {"SHUTDOWN", false,
+     [](CompileService& svc, std::istream&, PendingRequest::State&) {
+       // Stop admitting right away (in-flight + queued work still
+       // drains); the transport sees the flag and runs the full drain +
+       // unlink path.
+       svc.begin_drain();
+       Response r = ok_response("bye");
+       r.shutdown = true;
+       return r;
+     }},
+    {"SLEEP", true,
+     [](CompileService& svc, std::istream& args,
+        PendingRequest::State& state) {
+       std::string ms_token;
+       double ms = 0.0;
+       if (!(args >> ms_token) || !parse_budget(ms_token, ms)) {
+         return error_response(StatusCode::kInvalidArgument,
+                               "usage: SLEEP <ms>");
+       }
+       return svc.sleep_request(ms, state);
+     }},
+    {"TPCH", true,
+     [](CompileService& svc, std::istream& args,
+        PendingRequest::State& state) {
+       std::string number;
+       std::string emit;
+       if (!(args >> number >> emit)) {
+         return error_response(StatusCode::kInvalidArgument,
+                               "usage: TPCH <n> <vhdl|ir> [budget_ms]");
+       }
+       double budget_ms = 0.0;
+       if (Response bad; !read_budget(args, budget_ms, bad)) return bad;
+       const tpch::QueryCase* query = tpch::find_query("TPC-H " + number);
+       if (query == nullptr) {
+         return error_response(StatusCode::kInvalidArgument,
+                               "unknown TPC-H query '" + number + "'");
+       }
+       // TPCH sources are built into the binary: the key needs no stamps
+       // (a different binary re-derives everything on replay anyway).
+       return svc.compile_and_journal(
+           tpch::query_sources(*query), tpch::query_options(*query), emit,
+           budget_ms, "TPCH " + number + " " + emit,
+           /*stamp_sources=*/false, state);
+     }},
+    {"FILE", true,
+     [](CompileService& svc, std::istream& args,
+        PendingRequest::State& state) {
+       std::string path;
+       std::string top;
+       std::string emit;
+       if (!(args >> path >> top >> emit)) {
+         return error_response(
+             StatusCode::kInvalidArgument,
+             "usage: FILE <path> <top> <vhdl|ir> [budget_ms]");
+       }
+       double budget_ms = 0.0;
+       if (Response bad; !read_budget(args, budget_ms, bad)) return bad;
+       // Comma-separated file list, compiled in list order (each file
+       // keeps its own `package` header) — same convention as the batch
+       // manifest.
+       std::vector<driver::NamedSource> sources;
+       std::istringstream paths(path);
+       std::string one;
+       while (std::getline(paths, one, ',')) {
+         if (one.empty()) continue;
+         std::ifstream file(one, std::ios::binary);
+         if (!file) {
+           return error_response(StatusCode::kIoError, "cannot read " + one);
+         }
+         sources.push_back(driver::NamedSource{
+             one, std::string((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>())});
+       }
+       if (sources.empty()) {
+         return error_response(StatusCode::kInvalidArgument,
+                               "no source files in '" + path + "'");
+       }
+       driver::CompileOptions options;
+       options.top = top;
+       return svc.compile_and_journal(
+           sources, std::move(options), emit, budget_ms,
+           "FILE " + path + " " + top + " " + emit,
+           /*stamp_sources=*/true, state);
+     }},
+};
 
 Response CompileService::shed_response(const std::string& reason) {
   ++shed_;
@@ -380,36 +519,42 @@ PendingRequest CompileService::submit(const std::string& line) {
             std::chrono::duration<double, std::milli>(
                 state->envelope.deadline_ms));
   }
-  state->line = state->envelope.rest;
-
-  std::istringstream fields(state->line);
-  std::string verb;
-  if (!(fields >> verb)) {
+  std::istringstream args(state->envelope.rest);
+  std::string name;
+  if (!(args >> name)) {
     finish(state,
            error_response(StatusCode::kInvalidArgument, "empty request"));
     return pending;
   }
-
-  if (!is_queued_verb(verb)) {
-    // Meta verbs execute inline on the transport thread: cheap, and they
-    // must stay responsive under overload (HEALTH during saturation is
-    // exactly when an operator needs an answer).
-    finish(state, dispatch_meta(verb, state->line, state->request_id));
+  const Verb* verb = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [&](const Verb& v) { return v.name == name; });
+  if (verb == std::end(kVerbs) || !verb->queued) {
+    obs::Span span("service.request");
+    span.arg("verb", name).arg("request_id", state->request_id);
+    finish(state, verb == std::end(kVerbs)
+                      ? error_response(StatusCode::kInvalidArgument,
+                                       "unknown verb '" + name + "'")
+                      : verb->run(*this, args, *state));
     return pending;
   }
+  state->run = verb->run;
+  std::getline(args, state->args);
 
-  // Admission control for compile verbs.
+  // Admission control for queued verbs.
   if (draining_.load(std::memory_order_acquire)) {
     finish(state, shed_response("draining; daemon is shutting down"));
     return pending;
   }
-  if (config_.rss_shed_mb > 0 &&
-      sim::current_rss_mb() > config_.rss_shed_mb) {
-    finish(state,
-           shed_response("rss " + std::to_string(sim::current_rss_mb()) +
-                         " MiB above shed threshold " +
-                         std::to_string(config_.rss_shed_mb) + " MiB"));
-    return pending;
+  if (config_.rss_shed_mb > 0) {
+    const std::uint64_t rss_mb = support::current_rss_mb();
+    if (rss_mb > config_.rss_shed_mb) {
+      finish(state, shed_response("rss " + std::to_string(rss_mb) +
+                                  " MiB above shed threshold " +
+                                  std::to_string(config_.rss_shed_mb) +
+                                  " MiB"));
+      return pending;
+    }
   }
   if (!queue_.try_push(state, state->envelope.priority)) {
     finish(state, shed_response(
@@ -540,10 +685,6 @@ void CompileService::snapshot_main() {
   }
 }
 
-void CompileService::journal_success(const warmup::JournalEntry& entry) {
-  if (journal_) journal_->record(entry);
-}
-
 Response CompileService::snapshot_now() {
   if (!journal_) {
     return error_response(StatusCode::kInvalidArgument,
@@ -623,7 +764,8 @@ void CompileService::execute(
     obs::Span span("service.request");
     span.arg("request_id", state->request_id)
         .arg("prio", to_string(state->envelope.priority));
-    response = dispatch_queued(*state);
+    std::istringstream args(state->args);
+    response = state->run(*this, args, *state);
   }
   const double exec_ms = ms_since(exec_start);
   exec_histogram.observe(exec_ms);
@@ -654,8 +796,8 @@ double CompileService::effective_budget_ms(
   }
   if (state.has_deadline) {
     // Never run past the caller's deadline: fold the remaining wait into
-    // the watchdog budget (floor of 1ms keeps the watchdog armed rather
-    // than treating ~0 as "unlimited").
+    // the budget (floor of 1ms keeps the budget armed rather than treating
+    // ~0 as "unlimited").
     const double remaining = std::max(1.0, state.deadline_remaining_ms());
     budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
   }
@@ -690,10 +832,11 @@ Response CompileService::sleep_request(double ms,
   return r;
 }
 
-Response CompileService::compile_request(
+Response CompileService::compile_and_journal(
     const std::vector<driver::NamedSource>& sources,
     driver::CompileOptions options, const std::string& emit,
-    double budget_ms, PendingRequest::State& state) {
+    double budget_ms, std::string key, bool stamp_sources,
+    PendingRequest::State& state) {
   if (emit == "vhdl") {
     options.emit_ir = false;
     options.emit_vhdl = true;
@@ -707,28 +850,17 @@ Response CompileService::compile_request(
   }
   exec_seq_.fetch_add(1, std::memory_order_relaxed);
 
-  // Per-request watchdog: a dedicated guard + monitor thread enforcing the
-  // wall-clock budget (request budget min'd with the propagated deadline);
-  // the driver polls the guard at phase boundaries and classifies a fired
-  // watchdog as kAborted (phase "watchdog"). The same poll observes the
-  // transport's disconnect cancel, so compiles for dead peers abort too.
-  sim::RunGuard guard;
-  sim::Watchdog::Config watchdog_config;
-  watchdog_config.wall_clock_budget_ms = effective_budget_ms(budget_ms, state);
-  options.cancelled = [&guard, &state]() {
-    return guard.stop_requested() || state.cancelled();
-  };
-  driver::CompileResult result = [&] {
-    sim::Watchdog watchdog(guard, watchdog_config);
-    return session_.compile(sources, options);
-  }();
+  // The driver checks the budget (request budget min'd with the remaining
+  // deadline) and the cancel flag at every phase boundary, and classifies
+  // either as kAborted (phase "watchdog"). The cancel flag is the
+  // transport's disconnect / the drain, so compiles for dead peers abort.
+  options.budget_ms = effective_budget_ms(budget_ms, state);
+  options.cancelled = [&state] { return state.cancelled(); };
+  driver::CompileResult result = session_.compile(sources, options);
 
   Response r;
   r.status = result.status();
-  if (result.success()) {
-    r.payload = options.emit_vhdl ? std::move(result.vhdl_text)
-                                  : std::move(result.ir_text);
-  } else {
+  if (!result.success()) {
     r.payload = result.report();
     if (r.status.code() == StatusCode::kAborted &&
         state.cancel_reason() == CancelReason::kClientGone) {
@@ -736,160 +868,18 @@ Response CompileService::compile_request(
                                "client disconnected; compile aborted");
       r.payload = r.status.render() + "\n";
     }
+    return r;
+  }
+  r.payload = options.emit_vhdl ? std::move(result.vhdl_text)
+                                : std::move(result.ir_text);
+  if (journal_) {
+    // Stamps come from the exact bytes that compiled: replay skips the key
+    // once any stamped file on disk no longer matches.
+    journal_->record(warmup::JournalEntry{
+        std::move(key), stamp_sources ? driver::source_stamps(sources)
+                                      : std::vector<driver::SourceStamp>{}});
   }
   return r;
-}
-
-Response CompileService::dispatch_queued(PendingRequest::State& state) {
-  std::istringstream fields(state.line);
-  std::string verb;
-  fields >> verb;
-
-  if (verb == "SLEEP") {
-    std::string ms_token;
-    double ms = 0.0;
-    if (!(fields >> ms_token) || !parse_budget(ms_token, ms)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "usage: SLEEP <ms>");
-    }
-    return sleep_request(ms, state);
-  }
-
-  if (verb == "TPCH") {
-    std::string number;
-    std::string emit;
-    if (!(fields >> number >> emit)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "usage: TPCH <n> <vhdl|ir> [budget_ms]");
-    }
-    double budget_ms = 0.0;
-    std::string budget_token;
-    if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "bad budget_ms '" + budget_token + "'");
-    }
-    const tpch::QueryCase* query = tpch::find_query("TPC-H " + number);
-    if (query == nullptr) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "unknown TPC-H query '" + number + "'");
-    }
-    Response r = compile_request(tpch::query_sources(*query),
-                                 tpch::query_options(*query), emit,
-                                 budget_ms, state);
-    if (r.ok()) {
-      // TPCH sources are built into the binary: the key needs no stamps
-      // (a different binary re-derives everything on replay anyway).
-      journal_success(
-          warmup::JournalEntry{"TPCH " + number + " " + emit, {}});
-    }
-    return r;
-  }
-
-  if (verb == "FILE") {
-    std::string path;
-    std::string top;
-    std::string emit;
-    if (!(fields >> path >> top >> emit)) {
-      return error_response(
-          StatusCode::kInvalidArgument,
-          "usage: FILE <path> <top> <vhdl|ir> [budget_ms]");
-    }
-    double budget_ms = 0.0;
-    std::string budget_token;
-    if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "bad budget_ms '" + budget_token + "'");
-    }
-    // Comma-separated file list, compiled in list order (each file keeps
-    // its own `package` header) — same convention as the batch manifest.
-    std::vector<driver::NamedSource> sources;
-    std::istringstream paths(path);
-    std::string one;
-    while (std::getline(paths, one, ',')) {
-      if (one.empty()) continue;
-      std::ifstream file(one, std::ios::binary);
-      if (!file) {
-        return error_response(StatusCode::kIoError, "cannot read " + one);
-      }
-      sources.push_back(driver::NamedSource{
-          one, std::string((std::istreambuf_iterator<char>(file)),
-                           std::istreambuf_iterator<char>())});
-    }
-    if (sources.empty()) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "no source files in '" + path + "'");
-    }
-    driver::CompileOptions options;
-    options.top = top;
-    Response r = compile_request(sources, std::move(options), emit,
-                                 budget_ms, state);
-    if (r.ok()) {
-      // Journal the key with a content stamp per source, taken from the
-      // exact bytes that compiled — replay skips the key when any file on
-      // disk no longer matches.
-      warmup::JournalEntry entry;
-      entry.request = "FILE " + path + " " + top + " " + emit;
-      for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
-        entry.stamps.push_back(
-            warmup::SourceStampRecord{stamp.name, stamp.hash});
-      }
-      journal_success(entry);
-    }
-    return r;
-  }
-
-  return error_response(StatusCode::kInternal,
-                        "verb '" + verb + "' queued but not dispatchable");
-}
-
-Response CompileService::dispatch_meta(const std::string& verb,
-                                       const std::string& rest,
-                                       std::uint64_t request_id) {
-  obs::Span span("service.request");
-  span.arg("verb", verb).arg("request_id", request_id);
-  (void)rest;
-
-  if (verb == "PING") {
-    Response r;
-    r.payload = "pong";
-    return r;
-  }
-  if (verb == "STATS") {
-    Response r;
-    r.payload = stats_text();
-    return r;
-  }
-  if (verb == "METRICS") {
-    Response r;
-    r.payload = obs::MetricsRegistry::global().render_json();
-    return r;
-  }
-  if (verb == "HEALTH") {
-    Response r;
-    r.payload = health_json();
-    return r;
-  }
-  if (verb == "INVALIDATE") {
-    session_.invalidate();
-    Response r;
-    r.payload = "invalidated";
-    return r;
-  }
-  if (verb == "SNAPSHOT") {
-    return snapshot_now();
-  }
-  if (verb == "SHUTDOWN") {
-    // Stop admitting right away (in-flight + queued work still drains);
-    // the transport sees the flag and runs the full drain + unlink path.
-    begin_drain();
-    Response r;
-    r.payload = "bye";
-    r.shutdown = true;
-    return r;
-  }
-
-  return error_response(StatusCode::kInvalidArgument,
-                        "unknown verb '" + verb + "'");
 }
 
 std::string CompileService::health_json() const {
@@ -904,18 +894,6 @@ std::string CompileService::health_json() const {
     std::lock_guard lock(last_abort_mu_);
     last_abort = last_abort_;
   }
-  // Rendered Status strings carry no quotes/backslashes/control bytes in
-  // practice, but escape defensively since messages embed file paths.
-  const auto escape = [](const std::string& text) {
-    std::string escaped;
-    for (char c : text) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      if (static_cast<unsigned char>(c) < 0x20) continue;
-      escaped += c;
-    }
-    return escaped;
-  };
-  const std::string escaped = escape(last_abort);
   std::string journal_error = journal_boot_error_;
   if (journal_) {
     const std::string io_error = journal_->last_error();
@@ -952,9 +930,9 @@ std::string CompileService::health_json() const {
   out += std::to_string(journal_ ? journal_->recovered_records() : 0);
   out += ",\"journal_last_compaction_ms\":";
   out += obs::json_number(journal_ ? journal_->last_compaction_ms() : -1.0);
-  out += ",\"journal_error\":\"";
-  out += escape(journal_error);
-  out += "\",\"replay_done\":";
+  out += ",\"journal_error\":";
+  obs::append_json_string(out, journal_error);
+  out += ",\"replay_done\":";
   out += replay_done_.load(std::memory_order_acquire) ? "true" : "false";
   out += ",\"replayed\":";
   out += std::to_string(replay_stats_.replayed.get());
@@ -966,9 +944,9 @@ std::string CompileService::health_json() const {
   out += std::to_string(replay_stats_.failed.get());
   out += ",\"replay_budget_expired\":";
   out += std::to_string(replay_stats_.budget_expired.get());
-  out += ",\"last_abort\":\"";
-  out += escaped;
-  out += "\"}";
+  out += ",\"last_abort\":";
+  obs::append_json_string(out, last_abort);
+  out += '}';
   return out;
 }
 

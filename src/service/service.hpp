@@ -34,7 +34,7 @@
 // Envelope tokens may precede any verb, in any order:
 //   PRIO        queue class (default: interactive for FILE/TPCH/SLEEP)
 //   DEADLINE_MS the caller stops waiting after this many ms. Folded into
-//               the per-request watchdog budget, and a request whose
+//               the per-request compile budget, and a request whose
 //               deadline expires while still queued is shed (kUnavailable)
 //               instead of executed — work is never done for a caller
 //               that already gave up.
@@ -76,13 +76,13 @@
 // capacity frees up, honored by the retrying client (support::Retry).
 // Failed compiles carry the rendered diagnostics as payload.
 //
-// Per-request timeouts reuse the PR 6 watchdog machinery: each compile
-// request gets its own sim::RunGuard + sim::Watchdog (wall-clock budget,
-// min'd with the remaining DEADLINE_MS); the driver polls the guard at
-// phase boundaries and classifies a fired watchdog as kAborted (phase
-// "watchdog"). Each executing request also polls a per-request cancel flag
-// that the transport trips when the client disconnects mid-compile, so
-// work for dead peers aborts instead of running to completion.
+// Per-request timeouts and cancellation reach the driver only through
+// driver::CompileOptions: `budget_ms` carries the request's wall-clock
+// budget (min'd with the remaining DEADLINE_MS) and `cancelled` polls the
+// per-request cancel flag the transport trips when the client disconnects
+// (or the drain deadline passes). The driver checks both at every phase
+// boundary and classifies either as kAborted (phase "watchdog"), so work
+// for dead peers aborts instead of running to completion.
 //
 // Thread-safety: submit/handle_line may be called from any number of
 // transport threads concurrently — admission is a try_push on the bounded
@@ -121,7 +121,7 @@ struct ServiceConfig {
   /// Bound on queued-but-not-yet-executing requests (both classes
   /// combined). Admission beyond it sheds with kUnavailable.
   std::size_t queue_capacity = 64;
-  /// Shed new compile admissions while the process RSS high-water mark
+  /// Shed new compile admissions while the process's current resident set
   /// exceeds this many MiB (0 = disabled). The memory-headroom half of
   /// admission control.
   std::uint64_t rss_shed_mb = 0;
@@ -292,16 +292,20 @@ class CompileService {
   [[nodiscard]] Response shed_response(const std::string& reason);
 
  private:
-  [[nodiscard]] Response dispatch_meta(const std::string& verb,
-                                       const std::string& rest,
-                                       std::uint64_t request_id);
+  /// The protocol's verb table (service.cpp): each verb's name, class
+  /// (meta or queued) and handler.
+  struct Verb;
+  static const Verb kVerbs[];
+
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
-  [[nodiscard]] Response dispatch_queued(PendingRequest::State& state);
-  [[nodiscard]] Response compile_request(
+  /// Compiles one TPCH/FILE request and, on success, journals `key`
+  /// (with the sources' content stamps when `stamp_sources`).
+  [[nodiscard]] Response compile_and_journal(
       const std::vector<driver::NamedSource>& sources,
       driver::CompileOptions options, const std::string& emit,
-      double budget_ms, PendingRequest::State& state);
+      double budget_ms, std::string key, bool stamp_sources,
+      PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,
                                        PendingRequest::State& state);
   /// Effective wall-clock budget: the request's (or default) budget,
@@ -317,8 +321,6 @@ class CompileService {
   void cancel_until_idle();
   void join_workers();
   void open_journal();
-  /// Journals one successfully compiled key (no-op without a journal).
-  void journal_success(const warmup::JournalEntry& entry);
   [[nodiscard]] Response snapshot_now();
   void replay_main();
   void snapshot_main();

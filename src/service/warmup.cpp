@@ -50,10 +50,10 @@ struct JournalMetrics {
 std::string JournalEntry::serialize() const {
   std::string out = request;
   out += '\n';
-  for (const SourceStampRecord& stamp : stamps) {
+  for (const driver::SourceStamp& stamp : stamps) {
     out += std::to_string(stamp.hash);
     out += ' ';
-    out += stamp.path;
+    out += stamp.name;
     out += '\n';
   }
   return out;
@@ -79,22 +79,22 @@ bool JournalEntry::parse(std::string_view payload, JournalEntry& out) {
     if (space == std::string_view::npos || space + 1 >= line.size()) {
       return false;
     }
-    SourceStampRecord stamp;
+    driver::SourceStamp stamp;
     const std::string_view hash_text = line.substr(0, space);
     auto [ptr, ec] = std::from_chars(
         hash_text.data(), hash_text.data() + hash_text.size(), stamp.hash);
     if (ec != std::errc{} || ptr != hash_text.data() + hash_text.size()) {
       return false;
     }
-    stamp.path = std::string(line.substr(space + 1));
+    stamp.name = std::string(line.substr(space + 1));
     out.stamps.push_back(std::move(stamp));
   }
   return !first;
 }
 
 bool entry_is_current(const JournalEntry& entry) {
-  for (const SourceStampRecord& stamp : entry.stamps) {
-    std::ifstream file(stamp.path, std::ios::binary);
+  for (const driver::SourceStamp& stamp : entry.stamps) {
+    std::ifstream file(stamp.name, std::ios::binary);
     if (!file) return false;  // gone or unreadable: stale, not an error
     const std::string text((std::istreambuf_iterator<char>(file)),
                            std::istreambuf_iterator<char>());

@@ -41,19 +41,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/driver/compiler.hpp"
 #include "src/support/counters.hpp"
 #include "src/support/journal.hpp"
 #include "src/support/status.hpp"
 
 namespace tydi::service::warmup {
-
-/// One stamped source of a journaled compile key.
-struct SourceStampRecord {
-  std::string path;
-  std::uint64_t hash = 0;
-
-  bool operator==(const SourceStampRecord&) const = default;
-};
 
 /// One journaled compile key: the replayable request plus the content
 /// stamps that must still match for replay to make sense.
@@ -61,7 +54,8 @@ struct JournalEntry {
   /// Normalized request line ("TPCH 6 vhdl" / "FILE <paths> <top> <emit>"):
   /// no envelope tokens, no per-request budget — replay supplies its own.
   std::string request;
-  std::vector<SourceStampRecord> stamps;
+  /// One stamp per source file (the name is the path the FILE verb read).
+  std::vector<driver::SourceStamp> stamps;
 
   [[nodiscard]] std::string serialize() const;
   /// Parses one record payload; false on a malformed payload (corrupt

@@ -129,8 +129,8 @@ struct SimOptions {
   /// Global processed-event budget; the run aborts with partial results
   /// when exceeded. 0 disables.
   std::uint64_t max_events = 0;
-  /// Resident-set budget in MiB (getrusage high-water mark); the run aborts
-  /// when exceeded. 0 disables.
+  /// Resident-set budget in MiB (current RSS, /proc/self/statm); the run
+  /// aborts when exceeded. 0 disables.
   std::uint64_t rss_budget_mb = 0;
 };
 

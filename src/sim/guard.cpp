@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include <sys/resource.h>
+#include "src/support/rss.hpp"
 
 namespace tydi::sim {
 
@@ -16,13 +16,6 @@ std::string_view to_string(StopCause cause) {
     case StopCause::kRss: return "rss-budget";
   }
   return "unknown";
-}
-
-std::uint64_t current_rss_mb() {
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  // Linux reports ru_maxrss in KiB.
-  return static_cast<std::uint64_t>(usage.ru_maxrss) / 1024;
 }
 
 Watchdog::Watchdog(RunGuard& guard, Config config)
@@ -83,7 +76,7 @@ void Watchdog::run() {
       return;
     }
     if (config_.rss_budget_mb > 0 &&
-        current_rss_mb() >= config_.rss_budget_mb) {
+        support::current_rss_mb() >= config_.rss_budget_mb) {
       guard_.request_stop(StopCause::kRss);
       return;
     }

@@ -13,8 +13,8 @@
 //    forever while processing zero events, and a round-based monitor would
 //    never fire;
 //  - *wall-clock budget*: total run time exceeded `wall_clock_budget_ms`;
-//  - *RSS budget*: resident set size exceeded `rss_budget_mb` (via
-//    getrusage; best-effort — ru_maxrss is a high-water mark).
+//  - *RSS budget*: resident set size exceeded `rss_budget_mb` (the live
+//    figure from support::current_rss_mb, /proc/self/statm).
 //
 // When any trigger fires the watchdog calls `request_stop(cause)`; shard
 // threads and the abortable barrier observe the flag, unwind cooperatively,
@@ -116,9 +116,5 @@ class Watchdog {
   bool done_ = false;
   std::thread thread_;
 };
-
-/// Current resident set high-water mark in MiB (getrusage ru_maxrss); 0 when
-/// unavailable.
-[[nodiscard]] std::uint64_t current_rss_mb();
 
 }  // namespace tydi::sim

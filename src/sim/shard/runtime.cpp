@@ -192,6 +192,67 @@ struct RoundState {
         guard(g) {}
 };
 
+/// One shard thread's round loop. Both ack policies share the skeleton —
+/// the timed barrier arrival, the round start, the time cap — and differ
+/// only in their reduction slot fields and what a round does between
+/// barriers (run_exact / run_credit).
+struct ShardThread {
+  int me;
+  int shards;
+  Kernel& kernel;
+  RoundState& state;
+  FaultInjector& inject;
+
+  /// Barrier arrival: the barrier-jitter fault site, then the timed wait.
+  void arrive() {
+    if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
+      inject.spin_delay();
+    }
+    // Two steady_clock reads per wait: the wait itself spins/yields, so the
+    // clock cost disappears into it (gated by the sim obs-overhead bench).
+    const auto wait_start = std::chrono::steady_clock::now();
+    state.barrier.arrive_and_wait();
+    state.obs[me].barrier_wait_ns +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wait_start)
+            .count();
+  }
+
+  /// Round start: drains inbound mail, publishes this shard's reduction
+  /// slot, and crosses the barrier. False when the run guard stopped the
+  /// run.
+  bool begin_round(bool credit) {
+    if (state.guard.stop_requested()) return false;
+    ++state.obs[me].rounds;
+    state.mail.drain_into(me, kernel);
+    Slot& slot = state.slots[me];
+    slot.next_time = kernel.next_time();
+    if (credit) {
+      slot.pending_batches = kernel.pending_ack_batches();
+      slot.last_time = kernel.last_event_time();
+    } else {
+      slot.ack_bound = kernel.ack_risk_bound();
+    }
+    arrive();
+    return !state.guard.stop_requested();
+  }
+
+  /// False (recording the cutoff) when the reduced next time `t` is past
+  /// the cap — every thread reduces the same `t`, so all stop together.
+  /// Otherwise passes the round-stall fault site before processing.
+  bool may_process(double t) {
+    if (t > state.max_time_ns) {
+      if (me == 0) state.capped.store(true, std::memory_order_relaxed);
+      return false;
+    }
+    if (inject.fires(FaultInjector::Site::kRoundStall)) inject.spin_delay();
+    return true;
+  }
+
+  void run_exact();
+  void run_credit();
+};
+
 /// Credit-mode round loop: no ack-risk bound, no same-timestamp fixpoint.
 /// Every round is a window round with H = T + lookahead — the credit
 /// horizon guarantees no shard needs a remote ack inside the window
@@ -207,31 +268,8 @@ struct RoundState {
 /// past the round that filled it, so an idle barrier with outstanding
 /// batches force-flushes and goes around — except under the deliberate
 /// hang fault, which keeps withholding until the watchdog aborts the run.
-void shard_main_credit(int me, int shards, Kernel& kernel, RoundState& state,
-                       FaultInjector& inject) {
-  auto arrive = [&] {
-    if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
-      inject.spin_delay();
-    }
-    // Two steady_clock reads per wait: the wait itself spins/yields, so the
-    // clock cost disappears into it (gated by the sim obs-overhead bench).
-    const auto wait_start = std::chrono::steady_clock::now();
-    state.barrier.arrive_and_wait();
-    state.obs[me].barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count();
-  };
-  for (;;) {
-    if (state.guard.stop_requested()) return;
-    ++state.obs[me].rounds;
-    state.mail.drain_into(me, kernel);
-    state.slots[me].next_time = kernel.next_time();
-    state.slots[me].pending_batches = kernel.pending_ack_batches();
-    state.slots[me].last_time = kernel.last_event_time();
-    arrive();
-    if (state.guard.stop_requested()) return;
-
+void ShardThread::run_credit() {
+  while (begin_round(/*credit=*/true)) {
     double t = kInfiniteTime;
     std::int64_t pending = 0;
     double flush_time = 0.0;
@@ -251,12 +289,7 @@ void shard_main_credit(int me, int shards, Kernel& kernel, RoundState& state,
       arrive();  // flush posts before the next round's drains
       continue;
     }
-    if (t > state.max_time_ns) {
-      if (me == 0) state.capped.store(true, std::memory_order_relaxed);
-      break;
-    }
-
-    if (inject.fires(FaultInjector::Site::kRoundStall)) inject.spin_delay();
+    if (!may_process(t)) break;
 
     double horizon = t + state.lookahead_ns;
     if (horizon > t) {
@@ -270,30 +303,8 @@ void shard_main_credit(int me, int shards, Kernel& kernel, RoundState& state,
   }
 }
 
-void shard_main(int me, int shards, Kernel& kernel, RoundState& state,
-                FaultInjector& inject) {
-  auto arrive = [&] {
-    if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
-      inject.spin_delay();
-    }
-    // Two steady_clock reads per wait: the wait itself spins/yields, so the
-    // clock cost disappears into it (gated by the sim obs-overhead bench).
-    const auto wait_start = std::chrono::steady_clock::now();
-    state.barrier.arrive_and_wait();
-    state.obs[me].barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count();
-  };
-  for (;;) {
-    if (state.guard.stop_requested()) return;
-    ++state.obs[me].rounds;
-    state.mail.drain_into(me, kernel);
-    state.slots[me].next_time = kernel.next_time();
-    state.slots[me].ack_bound = kernel.ack_risk_bound();
-    arrive();
-    if (state.guard.stop_requested()) return;
-
+void ShardThread::run_exact() {
+  while (begin_round(/*credit=*/false)) {
     double t = kInfiniteTime;
     double bound = kInfiniteTime;
     for (int s = 0; s < shards; ++s) {
@@ -301,13 +312,7 @@ void shard_main(int me, int shards, Kernel& kernel, RoundState& state,
       bound = std::min(bound, state.slots[s].ack_bound);
     }
     if (t == kInfiniteTime) break;  // global quiescence
-    if (t > state.max_time_ns) {
-      // Same t on every thread: all conclude the cutoff together.
-      if (me == 0) state.capped.store(true, std::memory_order_relaxed);
-      break;
-    }
-
-    if (inject.fires(FaultInjector::Site::kRoundStall)) inject.spin_delay();
+    if (!may_process(t)) break;
 
     double horizon = std::min(t + state.lookahead_ns, bound);
     if (horizon > t) {
@@ -499,8 +504,8 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
         obs::Span span("sim.shard");
         span.arg("shard", static_cast<std::int64_t>(s))
             .arg("mode", credit ? "credit" : "exact");
-        (credit ? shard_main_credit : shard_main)(s, shards, *kernels[s],
-                                                  state, *injectors[s]);
+        ShardThread shard{s, shards, *kernels[s], state, *injectors[s]};
+        credit ? shard.run_credit() : shard.run_exact();
       });
     }
     for (std::thread& thread : threads) thread.join();

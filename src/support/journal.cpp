@@ -9,6 +9,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "src/support/splitmix.hpp"
+
 namespace tydi::support {
 
 namespace {
@@ -34,18 +36,10 @@ const std::array<std::uint32_t, 256>& crc32c_table() {
   return table;
 }
 
-/// splitmix64 — the same stateless counter-hash the sim fault injector
-/// uses, so one seed yields one reproducible fault schedule.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t site_hash(std::uint64_t seed, std::uint32_t site,
                         std::uint64_t step) {
-  return mix64(seed ^ mix64(static_cast<std::uint64_t>(site) << 32 | step));
+  return splitmix64(seed ^
+                    splitmix64(static_cast<std::uint64_t>(site) << 32 | step));
 }
 
 double unit_interval(std::uint64_t h) {

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "src/support/splitmix.hpp"
+
 namespace tydi::support {
-
-namespace {
-
-/// Stateless splitmix64 step (same construction as the sim fault
-/// injector's schedule hash: counter-based, so no RNG state to carry).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double retry_jitter(std::uint64_t seed, int attempt) {
   const std::uint64_t h =

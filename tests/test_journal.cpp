@@ -27,11 +27,11 @@
 namespace tydi {
 namespace {
 
+using driver::SourceStamp;
 using service::warmup::CompileJournal;
 using service::warmup::JournalEntry;
 using service::warmup::ReplayOptions;
 using service::warmup::ReplayStats;
-using service::warmup::SourceStampRecord;
 using support::IoFaultPlan;
 using support::RecoveredJournal;
 using support::Status;
@@ -343,8 +343,8 @@ TEST(JournalSnapshot, CrashAtEitherPointLeavesOldJournalIntact) {
 TEST(JournalEntryFormat, SerializeParseRoundTrip) {
   JournalEntry entry;
   entry.request = "FILE /tmp/a.td,/tmp/b.td top_i vhdl";
-  entry.stamps = {SourceStampRecord{"/tmp/a.td", 0xDEADBEEFCAFEull},
-                  SourceStampRecord{"/tmp/path with spaces.td", 42}};
+  entry.stamps = {SourceStamp{"/tmp/a.td", 0xDEADBEEFCAFEull},
+                  SourceStamp{"/tmp/path with spaces.td", 42}};
   JournalEntry parsed;
   ASSERT_TRUE(JournalEntry::parse(entry.serialize(), parsed));
   EXPECT_EQ(parsed, entry);
@@ -380,7 +380,7 @@ TEST(CompileJournalTest, DedupCompactReopen) {
 
     // Re-record with changed stamps: the key is re-journaled.
     JournalEntry q6_edited = q6;
-    q6_edited.stamps.push_back(SourceStampRecord{"/tmp/x.td", 99});
+    q6_edited.stamps.push_back(SourceStamp{"/tmp/x.td", 99});
     journal.record(q6_edited);
     EXPECT_GT(journal.journal_bytes(), bytes_after_two);
     EXPECT_EQ(journal.live_keys(), 2u);
@@ -436,12 +436,12 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
   std::vector<JournalEntry> entries;
   entries.push_back(JournalEntry{"OK_NO_STAMPS", {}});
   entries.push_back(JournalEntry{
-      "OK_FRESH", {SourceStampRecord{fresh_path, fresh_hash}}});
+      "OK_FRESH", {SourceStamp{fresh_path, fresh_hash}}});
   entries.push_back(JournalEntry{
-      "STALE_HASH", {SourceStampRecord{fresh_path, fresh_hash ^ 1}}});
+      "STALE_HASH", {SourceStamp{fresh_path, fresh_hash ^ 1}}});
   entries.push_back(JournalEntry{
       "STALE_MISSING",
-      {SourceStampRecord{temp_path("never_written.td"), 1}}});
+      {SourceStamp{temp_path("never_written.td"), 1}}});
   entries.push_back(JournalEntry{"SHED_ME", {}});
   entries.push_back(JournalEntry{"FAIL_ME", {}});
 

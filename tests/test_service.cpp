@@ -200,16 +200,29 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
 }
 
-// One connection pipelining several requests gets ordered responses.
+// A generous budget (default or per request) never changes the output.
 TEST(ServiceServer, BudgetedRequestStillSucceeds) {
   service::ServiceConfig config;
-  config.default_budget_ms = 60000.0;  // generous; exercises the watchdog path
+  config.default_budget_ms = 60000.0;  // generous; exercises the budget path
   service::CompileService svc(config);
   service::Response r = svc.handle_line("TPCH 6 vhdl");
   EXPECT_TRUE(r.ok()) << r.payload;
   service::Response budgeted = svc.handle_line("TPCH 6 vhdl 60000");
   EXPECT_TRUE(budgeted.ok()) << budgeted.payload;
   EXPECT_EQ(budgeted.payload, r.payload);
+}
+
+// A budget the compile cannot meet aborts it at the next phase boundary,
+// classified like a watchdog fire, and HEALTH reports the abort.
+TEST(ServiceServer, ExceededBudgetAbortsCompile) {
+  service::CompileService svc;
+  service::Response r = svc.handle_line("TPCH 19 vhdl 0.001");
+  EXPECT_EQ(r.status.code(), support::StatusCode::kAborted) << r.payload;
+  EXPECT_EQ(r.status.phase(), "watchdog") << r.payload;
+  EXPECT_EQ(svc.requests_failed(), 1u);
+  service::Response health = svc.handle_line("HEALTH");
+  EXPECT_NE(health.payload.find("budget"), std::string::npos)
+      << health.payload;
 }
 
 TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {

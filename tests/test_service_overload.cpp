@@ -1,8 +1,8 @@
 // Overload and degradation tests for the compile service: admission
-// control (queue-full / draining sheds with kUnavailable + retry-after),
-// two-class priority ordering, deadline propagation and expiry, client
-// disconnect cancellation, graceful drain (verb- and signal-driven), and
-// byte-identity of accepted work under saturation. The SLEEP debug verb is
+// control (queue-full / RSS / draining sheds with kUnavailable +
+// retry-after), two-class priority ordering, deadline propagation and
+// expiry, client disconnect cancellation, graceful drain (verb- and
+// signal-driven), and byte-identity of accepted work under saturation. The SLEEP debug verb is
 // the deterministic load: it occupies exactly one worker for a known time
 // and reports the global execution sequence number, so ordering assertions
 // do not depend on compile timings. This binary also runs under TSan in CI
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -28,6 +29,7 @@
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/support/retry.hpp"
+#include "src/support/rss.hpp"
 #include "src/support/status.hpp"
 
 namespace tydi {
@@ -296,6 +298,31 @@ TEST(ServiceOverload, DrainDeadlineCancelsStragglers) {
   EXPECT_EQ(r_stuck.status.code(), StatusCode::kAborted);
   service::Response r_queued = queued.take();
   EXPECT_EQ(r_queued.status.code(), StatusCode::kUnavailable);
+}
+
+// The RSS shed reads the current resident set, not a high-water mark: once
+// the memory is released, the next compile is admitted again.
+TEST(ServiceOverload, RssShedClearsWhenMemoryIsReleased) {
+  service::ServiceConfig config;
+  config.workers = 1;
+  config.rss_shed_mb = support::current_rss_mb() + 64;
+  service::CompileService svc(config);
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+
+  // mmap rather than new: ASan's quarantine cannot keep these pages
+  // resident after munmap.
+  constexpr std::size_t kBytes = std::size_t{128} << 20;
+  void* block = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(block, MAP_FAILED);
+  std::memset(block, 1, kBytes);
+  service::Response shed = svc.handle_line("TPCH 6 vhdl");
+  ASSERT_EQ(::munmap(block, kBytes), 0);
+  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(shed.payload.find("rss"), std::string::npos) << shed.payload;
+
+  service::Response served = svc.handle_line("TPCH 6 vhdl");
+  EXPECT_TRUE(served.ok()) << served.payload;
 }
 
 TEST(ServiceOverload, SaturationPreservesByteIdentity) {
