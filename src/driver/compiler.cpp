@@ -290,9 +290,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   // caller-side consumer (e.g. the fletchgen manifest) reads result.ir.
   {
     PhaseTimer t(result.phase_ms, "lower");
-    result.ir = ir::lower(result.design,
-                          session != nullptr ? &session->type_cache_
-                                             : nullptr);
+    result.ir = ir::lower(result.design);
   }
   if (aborted()) return result;
 
@@ -308,9 +306,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   }
   if (options.emit_vhdl) {
     PhaseTimer t(result.phase_ms, "vhdl");
-    result.vhdl_text =
-        vhdl::emit(result.ir, options.vhdl, *result.diags,
-                   session != nullptr ? &session->vhdl_cache_ : nullptr);
+    result.vhdl_text = vhdl::emit(result.ir, options.vhdl, *result.diags);
   }
   return result;
 }

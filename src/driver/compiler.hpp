@@ -177,26 +177,30 @@ class CompileSession;
 ///    triple matches a previous compile reuses that compile's AST, so the
 ///    standard library parses once per session, not once per compile.
 ///
+/// Lowering and emission need no session cache: a port's physical layouts,
+/// net name tails and display form live on its logical type
+/// (types::lowering_of), and memo hits hand warm compiles the same types.
+///
 /// Compiles through a session produce byte-identical IR/VHDL to standalone
 /// `driver::compile` calls (covered by the golden tests). Memo entries are
 /// invalidated by content hash of their defining file *and* of every file
 /// whose global types/constants their elaboration resolved (dependency
 /// stamps, see src/elab/memo.hpp), so editing any involved source between
 /// compiles re-elaborates instead of serving stale results. `invalidate()`
-/// drops every cache wholesale.
+/// drops both caches wholesale.
 ///
 /// Concurrency: any number of threads may call `compile` on one session
 /// simultaneously (parallel `compile_batch` workers, `tydid` request
-/// handlers). Each cache synchronizes itself — the template memo and the
-/// lowering/emission caches via shared_mutex with shared-lock lookups, the
-/// parse cache via the session's own lock — and every cache serves
-/// immutable shared payloads, so compiles never block each other outside
-/// the brief publish sections. Outputs are byte-identical whatever the
-/// interleaving: a cache hit and a fresh elaboration of the same sources
-/// produce the same bytes (golden-tested), so races only affect *which*
-/// thread fills a cache slot, never what a compile emits. `invalidate()`
-/// may race in-flight compiles safely: they keep the shared payloads they
-/// already captured and simply re-elaborate on their next lookup.
+/// handlers). The template memo synchronizes itself and the parse cache
+/// uses the session's own lock, both with shared-lock lookups, and both
+/// serve immutable shared payloads, so compiles never block each other
+/// outside the brief publish sections. Outputs are byte-identical whatever
+/// the interleaving: a cache hit and a fresh elaboration of the same
+/// sources produce the same bytes (golden-tested), so races only affect
+/// *which* thread fills a cache slot, never what a compile emits.
+/// `invalidate()` may race in-flight compiles safely: they keep the shared
+/// payloads they already captured and simply re-elaborate on their next
+/// lookup.
 class CompileSession {
  public:
   CompileSession() = default;
@@ -209,18 +213,13 @@ class CompileSession {
     return compile_with_session(sources, options, this);
   }
 
-  /// Drops every cached parse, memo entry, per-type lowering product and
-  /// per-port emission string. Safe to call while compiles are in flight:
-  /// they keep the shared payloads they already hold and re-elaborate on
-  /// their next lookup.
+  /// Drops every cached parse and memo entry. Safe to call while compiles
+  /// are in flight: they keep the shared payloads they already hold and
+  /// re-elaborate on their next lookup.
   void invalidate() {
     memo_.invalidate();
-    {
-      std::unique_lock lock(parse_mu_);
-      parses_.clear();
-    }
-    type_cache_.clear();
-    vhdl_cache_.clear();
+    std::unique_lock lock(parse_mu_);
+    parses_.clear();
   }
 
   [[nodiscard]] const elab::TemplateMemo& memo() const { return memo_; }
@@ -242,16 +241,9 @@ class CompileSession {
   };
 
   elab::TemplateMemo memo_;
-  /// Guards `parses_` (the other caches synchronize themselves).
+  /// Guards `parses_` (the memo synchronizes itself).
   mutable std::shared_mutex parse_mu_;
   std::vector<CachedParse> parses_;
-  /// Per-type layouts/display reused by the "lower" phase: warm compiles
-  /// receive the same TypeRefs from the memo, so lowering skips the
-  /// physical-stream recomputation (see ir::TypeLoweringCache).
-  ir::TypeLoweringCache type_cache_;
-  /// Per-port emission strings reused by the "vhdl" phase (see
-  /// vhdl::EmitSession).
-  vhdl::EmitSession vhdl_cache_;
 };
 
 /// One unit of a batch compile: a named source set with its own options.

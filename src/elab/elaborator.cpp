@@ -348,8 +348,8 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
   // transitive file-dependency closure into the active memo frame; a fresh
   // resolution collects that closure in its own frame below.
   const Symbol name_sym = support::intern(name);
-  auto cached = named_type_cache_.find(name_sym);
-  if (cached != named_type_cache_.end()) {
+  auto cached = named_types_.find(name_sym);
+  if (cached != named_types_.end()) {
     record_named_type_dep(name_sym);
     return cached->second;
   }
@@ -407,7 +407,7 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
     DepFrameData frame = pop_dep_frame();
     if (result != nullptr) type_deps_[name_sym] = std::move(frame.sources);
   }
-  if (result != nullptr) named_type_cache_[name_sym] = result;
+  if (result != nullptr) named_types_[name_sym] = result;
   return result;
 }
 

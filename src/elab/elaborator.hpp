@@ -115,7 +115,7 @@ class Elaborator {
   /// deterministically; the symbol-keyed map above is hash-ordered).
   std::vector<const lang::ImplDecl*> impl_decl_order_;
 
-  std::unordered_map<Symbol, types::TypeRef> named_type_cache_;
+  std::unordered_map<Symbol, types::TypeRef> named_types_;
   std::unordered_set<Symbol> resolving_types_;
   std::unordered_set<Symbol> impls_in_progress_;
   InstantiationStats stats_;

@@ -1,8 +1,5 @@
 #include "src/ir/ir.hpp"
 
-#include <memory>
-#include <mutex>
-
 #include "src/elab/design.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/support/text.hpp"
@@ -98,26 +95,13 @@ IrTemplateArg lower_template_arg(const elab::TemplateArgValue& a) {
   return out;
 }
 
-/// Layouts + display of a type, computed directly (the uncached path).
-TypeLoweringCache::Entry compute_type_entry(const types::TypeRef& type) {
-  TypeLoweringCache::Entry entry;
-  entry.display = type->to_display();
-  if (type->is_stream()) {
-    // Prefix "" gives each stream's suffix directly ("" for the primary
-    // stream, "__field..." for nested ones); consumers prepend their own
-    // prefixes, so the layout is computed once here and never again.
-    for (types::PhysicalStream& ps : types::physical_streams(type, "")) {
-      StreamLayout layout;
-      layout.suffix = ps.name;
-      layout.signals = ps.signals();
-      layout.stream = std::move(ps);
-      entry.layouts.push_back(std::move(layout));
-    }
-  }
-  return entry;
-}
-
-IrPort lower_port(const elab::Port& p, TypeLoweringCache* cache) {
+IrPort lower_port(const elab::Port& p) {
+  // One count per lowered port: a hit when its type's lowering already
+  // existed (built by an earlier port or compile sharing the TypeRef).
+  static obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_hits");
+  static obs::Counter& misses =
+      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_misses");
   IrPort out;
   out.sym = p.sym != support::kNoSymbol ? p.sym : support::intern(p.name);
   out.name = p.name;
@@ -131,18 +115,11 @@ IrPort lower_port(const elab::Port& p, TypeLoweringCache* cache) {
     out.type_display = "<unresolved>";
     return out;
   }
-  if (cache != nullptr) {
-    // Snapshot: keeps the entry alive even if a concurrent invalidation
-    // clears the cache while this port is being lowered.
-    const std::shared_ptr<const TypeLoweringCache::Entry> entry =
-        cache->of(p.type);
-    out.type_display = entry->display;
-    out.layouts = entry->layouts;
-  } else {
-    TypeLoweringCache::Entry entry = compute_type_entry(p.type);
-    out.type_display = std::move(entry.display);
-    out.layouts = std::move(entry.layouts);
-  }
+  bool hit = false;
+  const types::TypeLowering& lowering = types::lowering_of(*p.type, &hit);
+  ++(hit ? hits : misses);
+  out.type_display = lowering.display;
+  out.layouts = lowering.layouts;
   return out;
 }
 
@@ -181,39 +158,7 @@ IrEndpoint lower_endpoint(const Module& m, const IrImpl& impl,
 
 }  // namespace
 
-std::shared_ptr<const TypeLoweringCache::Entry> TypeLoweringCache::of(
-    const types::TypeRef& type) {
-  static obs::Counter& hits =
-      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_hits");
-  static obs::Counter& misses =
-      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_misses");
-  {
-    std::shared_lock lock(mu_);
-    auto it = entries_.find(type.get());
-    if (it != entries_.end()) {
-      ++hits;
-      return it->second;
-    }
-  }
-  ++misses;
-  // Compute outside the lock: the recursive physical-stream walk is the
-  // expensive part, and two threads racing on the same type produce
-  // identical entries (first publish wins, the loser's work is dropped).
-  auto computed =
-      std::make_shared<const Entry>(compute_type_entry(type));
-  std::unique_lock lock(mu_);
-  auto [it, inserted] = entries_.emplace(type.get(), std::move(computed));
-  if (inserted) pinned_.push_back(type);
-  return it->second;
-}
-
-void TypeLoweringCache::clear() {
-  std::unique_lock lock(mu_);
-  entries_.clear();
-  pinned_.clear();
-}
-
-Module lower(const elab::Design& design, TypeLoweringCache* cache) {
+Module lower(const elab::Design& design) {
   Module m;
   m.streamlets.reserve(design.streamlets().size());
   m.impls.reserve(design.impls().size());
@@ -226,7 +171,7 @@ Module lower(const elab::Design& design, TypeLoweringCache* cache) {
     is.loc = s.loc;
     is.ports.reserve(s.ports.size());
     for (const elab::Port& p : s.ports) {
-      is.ports.push_back(lower_port(p, cache));
+      is.ports.push_back(lower_port(p));
     }
     m.streamlets.push_back(std::move(is));
   }

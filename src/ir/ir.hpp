@@ -11,9 +11,10 @@
 //  - names are interned (`support::Symbol`) and cross-references are dense
 //    indices into the module's flat streamlet/impl tables, mirroring the
 //    simulator's integer-ID design;
-//  - every port carries its resolved `types::LogicalType` handle plus the
-//    physical stream layouts (signal widths, canonical signal lists) of the
-//    Tydi-spec physical protocol, computed once at lowering;
+//  - every port carries its resolved `types::LogicalType` handle plus views
+//    of that type's lowering (`types::lowering_of`): the physical stream
+//    layouts of the Tydi-spec physical protocol and the display form,
+//    computed once per type and shared by every port of that type;
 //  - every connection endpoint is resolved to (instance index, port index)
 //    with an explicit resolution status, so the DRC reads violations off the
 //    IR instead of re-resolving strings and the VHDL backend never repeats a
@@ -23,9 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,16 +49,8 @@ using support::Symbol;
 using Index = std::uint32_t;
 inline constexpr Index kNoIndex = 0xFFFFFFFFu;
 
-/// One physical stream of a port, cached at lowering time. `suffix` is the
-/// stream's name relative to the port ("" for the primary stream,
-/// "__field..." for split-off nested streams), so any consumer builds signal
-/// names as `prefix + suffix + "_" + signal.name` without recomputing the
-/// layout per prefix.
-struct StreamLayout {
-  std::string suffix;
-  types::PhysicalStream stream;                 ///< stream.name == suffix
-  std::vector<types::PhysicalSignal> signals;   ///< canonical order, cached
-};
+/// One physical stream of a port (see types::StreamLayout).
+using types::StreamLayout;
 
 struct IrPort {
   Symbol sym = support::kNoSymbol;  ///< interned port name
@@ -66,12 +59,15 @@ struct IrPort {
   lang::PortDir dir = lang::PortDir::kIn;
   types::TypeRef type;              ///< resolved logical type (may be null
                                     ///< only on elaboration errors)
-  std::string type_display;         ///< cached display form for IR text
+  /// Display form for IR text, borrowed from `type`'s lowering
+  /// ("<unresolved>" when `type` is null).
+  std::string_view type_display;
   std::string clock_domain;
   Symbol clock_sym = support::kNoSymbol;
   support::Loc loc;
-  /// Physical layouts, computed once. Empty when `type` is unresolved.
-  std::vector<StreamLayout> layouts;
+  /// Physical layouts, borrowed from `type`'s lowering (the port holds
+  /// `type`, so the view cannot dangle). Empty when `type` is unresolved.
+  std::span<const StreamLayout> layouts;
 };
 
 struct IrStreamlet {
@@ -200,51 +196,8 @@ class Module {
                       : (dir == lang::PortDir::kOut);
 }
 
-/// Session-lifetime cache of per-type lowering products: the physical
-/// stream layouts and the display string of a logical type, keyed by type
-/// identity (the shared_ptr'd LogicalType address, pinned so keys stay
-/// valid). Types are immutable, and a driver::CompileSession's template
-/// memo hands the *same* TypeRefs to every warm compile, so repeated
-/// lowering of a memoized design skips the recursive physical-stream walk
-/// entirely. Owned by the session (bounded lifetime; `clear()` on
-/// invalidation) — the sessionless `lower(design)` never caches.
-///
-/// Thread-safe: concurrent compiles of a session lower in parallel. Reads
-/// take a shared lock; a miss computes the entry outside any lock and
-/// publishes under the exclusive lock (first writer wins, losers adopt the
-/// published entry). `of` returns an immutable shared_ptr snapshot, so a
-/// caller may keep reading its entry while a concurrent `clear()` (session
-/// invalidation racing an in-flight compile) drops the map — the snapshot
-/// keeps the payload alive until the caller releases it.
-class TypeLoweringCache {
- public:
-  struct Entry {
-    std::vector<StreamLayout> layouts;  ///< empty for non-stream types
-    std::string display;
-  };
-
-  /// The cached entry for `type` (computed on first sight). `type` must be
-  /// non-null. Never null; immutable after publication.
-  std::shared_ptr<const Entry> of(const types::TypeRef& type);
-
-  void clear();
-  [[nodiscard]] std::size_t size() const {
-    std::shared_lock lock(mu_);
-    return entries_.size();
-  }
-
- private:
-  mutable std::shared_mutex mu_;
-  std::unordered_map<const types::LogicalType*, std::shared_ptr<const Entry>>
-      entries_;
-  std::vector<types::TypeRef> pinned_;  ///< keeps key addresses alive
-};
-
-/// Lowers an elaborated design to the IR. Runs once per compile. `cache`
-/// (optional) reuses per-type lowering products across compiles of a
-/// session.
-[[nodiscard]] Module lower(const elab::Design& design,
-                           TypeLoweringCache* cache = nullptr);
+/// Lowers an elaborated design to the IR. Runs once per compile.
+[[nodiscard]] Module lower(const elab::Design& design);
 
 /// Emits the IR as deterministic Tydi-IR text (just another consumer of the
 /// module — the backends do not depend on this form).

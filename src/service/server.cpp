@@ -9,11 +9,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <iterator>
+#include <list>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
-#include <vector>
 
 #include "src/obs/metrics.hpp"
 
@@ -101,30 +101,82 @@ int connect_client(const std::string& path, Status& status) {
   return fd;
 }
 
-/// Open connection fds, so the drain path can SHUT_RD all of them (stop
-/// reading further request lines while in-flight replies still flush).
-class ConnectionTracker {
+/// Live connections. Each entry owns its fd and its thread: the thread
+/// runs the connection loop, then `finish()` closes the fd under the lock
+/// (so the drain path never SHUT_RDs a recycled fd number). The accept loop
+/// `reap()`s finished entries, joining their threads — a long-lived daemon
+/// holds one thread per open connection, not one per connection ever
+/// accepted. Drain SHUT_RDs the live fds and `join_all()`s the rest.
+class ConnectionRegistry {
  public:
-  void add(int fd) {
+  /// Runs `body(fd)` on a new thread owned by the registry.
+  template <typename Body>
+  void start(int fd, Body body) {
     std::lock_guard lock(mu_);
-    fds_.insert(fd);
+    Connection& c = connections_.emplace_back();
+    c.fd = fd;
+    c.thread = std::thread([this, &c, fd, body = std::move(body)]() {
+      body(fd);
+      finish(c);
+    });
   }
-  void remove(int fd) {
+
+  /// Connections whose loop is still running.
+  [[nodiscard]] std::size_t live() const {
     std::lock_guard lock(mu_);
-    fds_.erase(fd);
+    std::size_t n = 0;
+    for (const Connection& c : connections_) n += c.fd >= 0 ? 1 : 0;
+    return n;
   }
-  [[nodiscard]] std::size_t count() const {
-    std::lock_guard lock(mu_);
-    return fds_.size();
+
+  /// Joins the threads of finished connections.
+  void reap() {
+    std::list<Connection> finished;
+    {
+      std::lock_guard lock(mu_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        auto next = std::next(it);
+        if (it->fd < 0) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+    }
+    // Outside the lock: a finished thread may still be returning from
+    // finish(), which takes the lock.
+    for (Connection& c : finished) c.thread.join();
   }
+
+  /// Stops reading further request lines on every live connection while
+  /// in-flight replies still flush.
   void shutdown_reads() {
     std::lock_guard lock(mu_);
-    for (int fd : fds_) ::shutdown(fd, SHUT_RD);
+    for (const Connection& c : connections_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+    }
+  }
+
+  void join_all() {
+    std::list<Connection> all;
+    {
+      std::lock_guard lock(mu_);
+      all.swap(connections_);  // list nodes (and `finish` targets) stay put
+    }
+    for (Connection& c : all) c.thread.join();
   }
 
  private:
+  struct Connection {
+    int fd = -1;  ///< -1 once the connection loop has finished
+    std::thread thread;
+  };
+
+  void finish(Connection& c) {
+    std::lock_guard lock(mu_);
+    ::close(c.fd);
+    c.fd = -1;
+  }
+
   mutable std::mutex mu_;
-  std::set<int> fds_;
+  std::list<Connection> connections_;
 };
 
 /// True when the peer has closed its end: a zero-byte MSG_PEEK read.
@@ -136,13 +188,13 @@ bool peer_disconnected(int fd) {
 }
 
 /// Per-connection loop: one request line in, one response frame out, until
-/// EOF or a SHUTDOWN request. Buffered reads — a client may pipeline
-/// several lines into one packet. While a submitted request is pending,
-/// the connection thread polls the peer; a disconnect cancels the request
-/// so the worker pool never finishes work for a dead client.
+/// EOF or a SHUTDOWN request (the registry closes `fd` afterwards).
+/// Buffered reads — a client may pipeline several lines into one packet.
+/// While a submitted request is pending, the connection thread polls the
+/// peer; a disconnect cancels the request so the worker pool never
+/// finishes work for a dead client.
 void serve_connection(int fd, CompileService& service,
-                      std::atomic<bool>& shutdown, int listen_fd,
-                      ConnectionTracker& tracker) {
+                      std::atomic<bool>& shutdown, int listen_fd) {
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -150,11 +202,7 @@ void serve_connection(int fd, CompileService& service,
     while ((eol = buffer.find('\n')) == std::string::npos) {
       const ssize_t n = ::read(fd, chunk, sizeof(chunk));
       if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        tracker.remove(fd);
-        ::close(fd);
-        return;
-      }
+      if (n <= 0) return;
       buffer.append(chunk, static_cast<std::size_t>(n));
     }
     std::string line = buffer.substr(0, eol);
@@ -170,18 +218,12 @@ void serve_connection(int fd, CompileService& service,
       }
     }
     Response response = pending.take();
-    if (!write_all(fd, response.serialize())) {
-      tracker.remove(fd);
-      ::close(fd);
-      return;
-    }
+    if (!write_all(fd, response.serialize())) return;
     if (response.shutdown) {
       // Stop the accept loop: mark shutdown, then poke the listener awake
       // by shutting it down (accept() returns with an error immediately).
       shutdown.store(true, std::memory_order_release);
       ::shutdown(listen_fd, SHUT_RDWR);
-      tracker.remove(fd);
-      ::close(fd);
       return;
     }
   }
@@ -238,9 +280,7 @@ Status serve(CompileService& service, const ServerConfig& config) {
   if (config.handle_signals) signals.emplace(listen_fd);
 
   std::atomic<bool> shutdown{false};
-  ConnectionTracker tracker;
-  std::vector<std::thread> connections;
-  std::mutex connections_mu;
+  ConnectionRegistry connections;
   static obs::Gauge& connections_gauge =
       obs::MetricsRegistry::global().gauge("tydi.service.connections");
 
@@ -254,8 +294,9 @@ Status serve(CompileService& service, const ServerConfig& config) {
       status = io_error("accept");
       break;
     }
+    connections.reap();
     if (config.max_connections > 0 &&
-        tracker.count() >= config.max_connections) {
+        connections.live() >= config.max_connections) {
       // Shed at the transport: one kUnavailable frame (with retry-after),
       // then close. Shares the service's shed counter and taxonomy.
       const Response shed = service.shed_response(
@@ -265,13 +306,10 @@ Status serve(CompileService& service, const ServerConfig& config) {
       ::close(fd);
       continue;
     }
-    tracker.add(fd);
-    connections_gauge.set(static_cast<double>(tracker.count()));
-    std::lock_guard lock(connections_mu);
-    connections.emplace_back([fd, &service, &shutdown, listen_fd,
-                              &tracker]() {
-      serve_connection(fd, service, shutdown, listen_fd, tracker);
+    connections.start(fd, [&service, &shutdown, listen_fd](int conn_fd) {
+      serve_connection(conn_fd, service, shutdown, listen_fd);
     });
+    connections_gauge.set(static_cast<double>(connections.live()));
   }
 
   // One drain path for SHUTDOWN, signals, and fatal accept errors: stop
@@ -281,9 +319,9 @@ Status serve(CompileService& service, const ServerConfig& config) {
       obs::MetricsRegistry::global().counter("tydi.service.drains");
   ++drains;
   service.begin_drain();
-  tracker.shutdown_reads();
+  connections.shutdown_reads();
   service.drain();
-  for (std::thread& t : connections) t.join();
+  connections.join_all();
   connections_gauge.set(0.0);
   ::close(listen_fd);
   ::unlink(config.socket_path.c_str());

@@ -9,6 +9,8 @@
 // parallel. Connection threads only *admit* requests — compile work runs on
 // the service's fixed worker pool, so accepted connections bound thread
 // count at the transport layer while the queue bounds compile concurrency.
+// The accept loop joins the threads of finished connections, so the daemon
+// holds threads for open connections only.
 //
 // Overload behaviour at this layer:
 //   - `max_connections` caps concurrently-served connections; past it the

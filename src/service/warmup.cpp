@@ -292,7 +292,9 @@ double replay_entries(
       break;
     }
     ++attempted;
-    if (options.verify_stamps && !entry_is_current(entry)) {
+    // Entries whose source stamps no longer match the files on disk are
+    // never replayed: warm state is re-derived, never served stale.
+    if (!entry_is_current(entry)) {
       ++stats.skipped_stale;
       continue;
     }

@@ -145,8 +145,6 @@ struct ReplayOptions {
   /// Entries not attempted before it expires are counted, not compiled —
   /// a huge journal must not hold a restart hostage.
   double budget_ms = 0.0;
-  /// Skip entries whose source stamps no longer match the files on disk.
-  bool verify_stamps = true;
 };
 
 /// Outcome of one replay run (all relaxed atomics: HEALTH reads them live

@@ -46,9 +46,10 @@ std::vector<TbNet> boundary_nets(const IrStreamlet& s) {
   std::vector<TbNet> nets;
   for (const IrPort& p : s.ports) {
     for (const StreamLayout& layout : p.layouts) {
-      for (const types::PhysicalSignal& sig : layout.signals) {
+      for (std::size_t k = 0; k < layout.signals.size(); ++k) {
+        const types::PhysicalSignal& sig = layout.signals[k];
         TbNet net;
-        net.name = p.vhdl + layout.suffix + "_" + sig.name;
+        net.name = p.vhdl + layout.tails[k];
         net.type = (sig.name == "valid" || sig.name == "ready")
                        ? "std_logic"
                        : "std_logic_vector(" + std::to_string(sig.width - 1) +

@@ -11,7 +11,7 @@
 //
 // Like every other backend (DRC, VHDL, fletchgen), testbench generation
 // consumes the lowered `ir::Module`: port signal lists come from the
-// `StreamLayout`s cached once at lowering, not from re-running
+// `StreamLayout`s cached once per type, not from re-running
 // `types::physical_streams()` per port.
 #pragma once
 

@@ -103,7 +103,9 @@ int usage() {
 
 /// Cache hit rates + bytes emitted, read back from the process metrics
 /// registry (--timings). The same counters the daemon's METRICS verb
-/// exports, so the CLI and the service can never disagree.
+/// exports, so the CLI and the service can never disagree. "types" counts
+/// lowered ports whose type's lowering already existed; every port is
+/// emitted from its type's lowering, so "ports" reads 1 whenever it ran.
 void print_cache_report(std::ostream& out) {
   auto& reg = tydi::obs::MetricsRegistry::global();
   auto rate = [&](const char* hits_name, const char* misses_name) {

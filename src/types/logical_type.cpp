@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/support/text.hpp"
+#include "src/types/physical.hpp"
 
 namespace tydi::types {
 
@@ -17,6 +18,10 @@ bool operator==(const StreamParams& a, const StreamParams& b) {
          a.complexity == b.complexity &&
          a.synchronicity == b.synchronicity && a.direction == b.direction &&
          user_equal;
+}
+
+LogicalType::~LogicalType() {
+  delete lowering_.load(std::memory_order_acquire);
 }
 
 std::int64_t LogicalType::bit_width() const {

@@ -15,6 +15,7 @@
 //                  secondary physical streams, see physical.hpp)
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -31,6 +32,8 @@ using lang::Synchronicity;
 
 class LogicalType;
 using TypeRef = std::shared_ptr<const LogicalType>;
+
+struct TypeLowering;  // physical.hpp
 
 struct NullT {};
 
@@ -75,6 +78,11 @@ class LogicalType {
 
   LogicalType(Node node, std::string origin)
       : node_(std::move(node)), origin_(std::move(origin)) {}
+  ~LogicalType();
+  /// Shared through TypeRef only: the cached lowering belongs to this
+  /// object, so a copy would have to recompute or share it.
+  LogicalType(const LogicalType&) = delete;
+  LogicalType& operator=(const LogicalType&) = delete;
 
   [[nodiscard]] const Node& node() const { return node_; }
 
@@ -119,8 +127,13 @@ class LogicalType {
   [[nodiscard]] std::string to_display() const;
 
  private:
+  friend const TypeLowering& lowering_of(const LogicalType& type, bool* hit);
+
   Node node_;
   std::string origin_;
+  /// This type's lowering, built by the first `lowering_of` call and
+  /// published with one compare-and-swap; freed by the destructor.
+  mutable std::atomic<const TypeLowering*> lowering_{nullptr};
 };
 
 // --- Constructors -----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "src/types/physical.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 namespace tydi::types {
@@ -17,11 +18,6 @@ std::int64_t index_bits(int lanes) {
   return static_cast<std::int64_t>(
       std::ceil(std::log2(static_cast<double>(lanes))));
 }
-
-/// Walks `type` collecting nested stream fields; `prefix` accumulates the
-/// hierarchical name. Nested streams inside nested streams recurse.
-void collect_nested(const TypeRef& type, const std::string& prefix,
-                    std::vector<PhysicalStream>& out);
 
 PhysicalStream build_stream(const StreamT& s, const std::string& name) {
   PhysicalStream p;
@@ -44,25 +40,36 @@ PhysicalStream build_stream(const StreamT& s, const std::string& name) {
   return p;
 }
 
-void collect_nested(const TypeRef& type, const std::string& prefix,
+/// Walks `type` collecting nested stream fields; `prefix` accumulates the
+/// hierarchical name. Nested streams inside nested streams recurse.
+void collect_nested(const LogicalType& type, const std::string& prefix,
                     std::vector<PhysicalStream>& out) {
-  if (type->is_group()) {
-    for (const Field& f : type->as_group().fields) {
-      collect_nested(f.type, prefix + "__" + f.name, out);
+  if (type.is_group()) {
+    for (const Field& f : type.as_group().fields) {
+      collect_nested(*f.type, prefix + "__" + f.name, out);
     }
     return;
   }
-  if (type->is_union()) {
-    for (const Field& f : type->as_union().fields) {
-      collect_nested(f.type, prefix + "__" + f.name, out);
+  if (type.is_union()) {
+    for (const Field& f : type.as_union().fields) {
+      collect_nested(*f.type, prefix + "__" + f.name, out);
     }
     return;
   }
-  if (type->is_stream()) {
-    const StreamT& s = type->as_stream();
+  if (type.is_stream()) {
+    const StreamT& s = type.as_stream();
     out.push_back(build_stream(s, prefix));
-    collect_nested(s.element, prefix, out);
+    collect_nested(*s.element, prefix, out);
   }
+}
+
+/// The primary stream of `s` named `port_name`, then its nested streams.
+std::vector<PhysicalStream> streams_of(const StreamT& s,
+                                       const std::string& port_name) {
+  std::vector<PhysicalStream> out;
+  out.push_back(build_stream(s, port_name));
+  collect_nested(*s.element, port_name, out);
+  return out;
 }
 
 }  // namespace
@@ -90,12 +97,40 @@ std::vector<PhysicalStream> physical_streams(const TypeRef& type,
         "physical_streams: port type must be a Stream (got " +
         std::string(type ? type->to_display() : "<null>") + ")");
   }
-  const StreamT& s = type->as_stream();
-  std::vector<PhysicalStream> out;
-  out.push_back(build_stream(s, port_name));
-  // Nested streams within the element split into secondary streams.
-  collect_nested(s.element, port_name, out);
-  return out;
+  return streams_of(type->as_stream(), port_name);
+}
+
+const TypeLowering& lowering_of(const LogicalType& type, bool* hit) {
+  const TypeLowering* published =
+      type.lowering_.load(std::memory_order_acquire);
+  if (hit != nullptr) *hit = published != nullptr;
+  if (published != nullptr) return *published;
+
+  auto built = std::make_unique<TypeLowering>();
+  built->display = type.to_display();
+  if (type.is_stream()) {
+    // Prefix "" gives each stream's suffix directly; consumers prepend
+    // their own port identifiers.
+    for (PhysicalStream& ps : streams_of(type.as_stream(), "")) {
+      StreamLayout layout;
+      layout.suffix = ps.name;
+      layout.signals = ps.signals();
+      layout.tails.reserve(layout.signals.size());
+      for (const PhysicalSignal& sig : layout.signals) {
+        layout.tails.push_back(layout.suffix + "_" + sig.name);
+      }
+      layout.stream = std::move(ps);
+      built->layouts.push_back(std::move(layout));
+    }
+  }
+  // First writer wins; a losing thread drops its copy and adopts the
+  // published one (both were built from the same immutable type).
+  if (type.lowering_.compare_exchange_strong(published, built.get(),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *published;
 }
 
 }  // namespace tydi::types

@@ -13,6 +13,11 @@
 // Nested Streams inside the element do not travel in the parent's data lanes;
 // they are split off as *secondary* physical streams (Tydi-spec
 // "streamspace"), one per nested stream field, named parent__field.
+//
+// A port's lowering — its physical streams, their `<suffix>_<signal>` net
+// name tails and the type's display form — depends on the logical type
+// alone, so it is computed once per type (`lowering_of`) and every port,
+// compile and backend of that type reads the same object.
 #pragma once
 
 #include <cstdint>
@@ -67,5 +72,32 @@ struct PhysicalStream {
 
 /// Number of lanes for a throughput: N = ceil(t), minimum 1.
 [[nodiscard]] int lanes_for_throughput(double throughput);
+
+/// One physical stream of a type, relative to the port that carries it.
+/// `suffix` is "" for the primary stream and "__field..." for split-off
+/// nested streams; `tails[k]` is `suffix + "_" + signals[k].name`, so a
+/// net name is `<port identifier><tail>` without per-port string building.
+struct StreamLayout {
+  std::string suffix;
+  PhysicalStream stream;                ///< stream.name == suffix
+  std::vector<PhysicalSignal> signals;  ///< canonical order
+  std::vector<std::string> tails;       ///< parallel to `signals`
+};
+
+/// Everything lowering derives from a logical type.
+struct TypeLowering {
+  /// `physical_streams(type, "")` with signals and tails; empty for
+  /// non-stream types.
+  std::vector<StreamLayout> layouts;
+  std::string display;  ///< `to_display()`
+};
+
+/// The lowering of `type`, built on first use and cached on the type for
+/// its lifetime. Thread-safe and lock-free: racing first callers each build
+/// a copy, one compare-and-swap publishes the winner, and every caller gets
+/// the same object. `hit` (optional) receives whether the lowering already
+/// existed when the call started.
+[[nodiscard]] const TypeLowering& lowering_of(const LogicalType& type,
+                                              bool* hit = nullptr);
 
 }  // namespace tydi::types

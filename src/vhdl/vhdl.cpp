@@ -1,8 +1,5 @@
 #include "src/vhdl/vhdl.hpp"
 
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "src/obs/metrics.hpp"
@@ -30,146 +27,35 @@ std::string vhdl_name(std::string_view name) {
 
 namespace {
 
-/// VHDL direction of a physical signal on an entity port: forward signals
+/// True when a physical signal is an input of the entity: forward signals
 /// follow the port direction, ready runs opposite; Reverse streams flip.
-std::string_view port_mode(const IrPort& p, const StreamLayout& layout,
-                           const PhysicalSignal& sig) {
+bool is_input(const IrPort& p, const StreamLayout& layout,
+              const PhysicalSignal& sig) {
   bool forward_is_in = (p.dir == lang::PortDir::kIn);
   if (layout.stream.direction == lang::StreamDir::kReverse) {
     forward_is_in = !forward_is_in;
   }
-  bool is_in = sig.reverse ? !forward_is_in : forward_is_in;
-  return is_in ? "in" : "out";
+  return sig.reverse ? !forward_is_in : forward_is_in;
 }
 
-/// One physical net of a port: the `<suffix>_<signal>` name tail shared by
-/// the port name and every signal-bundle prefix, plus pre-rendered pieces
-/// for the per-instance emission sites (signal declarations and port maps),
-/// which repeat once per instance of the streamlet.
-struct Net {
-  std::string suffix_sig;
-  std::string decl_tail;  ///< "<suffix_sig> : <type>;"
-  std::string map_head;   ///< "<port><suffix_sig> => sig_"
-  bool reverse = false;
-};
-
-/// Emission products of one port — a pure function of (port name, logical
-/// type identity, direction), so a session can share them across compiles.
-struct PortEmit {
-  std::vector<Net> nets;                ///< flattened over (layout, signal)
-  std::vector<std::string> port_lines;  ///< entity/component port lines
-};
-
-/// "std_logic" for 1-bit valid/ready, "std_logic_vector(...)" otherwise,
-/// appended to `out` without a temporary.
-void append_signal_type(std::string& out, const PhysicalSignal& sig) {
-  if (sig.name == "valid" || sig.name == "ready") {
-    out += "std_logic";
-  } else {
-    out += "std_logic_vector(";
-    out += std::to_string(sig.width - 1);
-    out += " downto 0)";
+/// Physical nets of a streamlet: one per (port, layout, signal). A net's
+/// name is `<port identifier><layout.tails[k]>`.
+std::size_t net_count(const IrStreamlet& s) {
+  std::size_t n = 0;
+  for (const IrPort& p : s.ports) {
+    for (const StreamLayout& layout : p.layouts) n += layout.signals.size();
   }
+  return n;
 }
 
-std::shared_ptr<const PortEmit> build_port_emit(const IrPort& p) {
-  auto out = std::make_shared<PortEmit>();
-  for (const StreamLayout& layout : p.layouts) {
-    for (const PhysicalSignal& sig : layout.signals) {
-      Net net;
-      net.suffix_sig = layout.suffix + "_" + sig.name;
-      net.reverse = sig.reverse;
-      net.decl_tail = net.suffix_sig;
-      net.decl_tail += " : ";
-      append_signal_type(net.decl_tail, sig);
-      net.decl_tail += ';';
-      net.map_head = p.vhdl + net.suffix_sig + " => sig_";
-      std::string line = p.vhdl + net.suffix_sig;
-      line += " : ";
-      line += port_mode(p, layout, sig);
-      line += ' ';
-      append_signal_type(line, sig);
-      out->port_lines.push_back(std::move(line));
-      out->nets.push_back(std::move(net));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-/// Session-lifetime port-emission cache, keyed by (port name symbol,
-/// logical-type identity, direction). Entries self-pin their TypeRef so the
-/// pointer key stays valid for the session lifetime. Thread-safe: lookups
-/// take the shared lock; a miss builds the PortEmit outside any lock and
-/// publishes under the exclusive lock (first writer wins), so concurrent
-/// emits of a session share entries without blocking each other's string
-/// building.
-struct EmitSession::Impl {
-  struct Key {
-    support::Symbol name_sym = support::kNoSymbol;
-    const types::LogicalType* type = nullptr;
-    lang::PortDir dir = lang::PortDir::kIn;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = std::hash<const void*>()(k.type);
-      h ^= (static_cast<std::size_t>(k.name_sym) + 1) *
-           std::size_t{0x9e3779b97f4a7c15ULL};
-      return h + (k.dir == lang::PortDir::kIn ? 0 : 1);
-    }
-  };
-  struct Entry {
-    types::TypeRef pin;
-    std::shared_ptr<const PortEmit> emit;
-  };
-  std::unordered_map<Key, Entry, KeyHash> ports;
-  mutable std::shared_mutex mu;
-
-  [[nodiscard]] std::shared_ptr<const PortEmit> find(const Key& key) const {
-    std::shared_lock lock(mu);
-    auto it = ports.find(key);
-    return it != ports.end() ? it->second.emit : nullptr;
-  }
-  /// Publishes `emit` for `key` unless another thread got there first, and
-  /// returns the entry that ended up cached.
-  [[nodiscard]] std::shared_ptr<const PortEmit> publish(
-      const Key& key, types::TypeRef pin,
-      std::shared_ptr<const PortEmit> emit) {
-    std::unique_lock lock(mu);
-    auto [it, inserted] =
-        ports.try_emplace(key, Entry{std::move(pin), std::move(emit)});
-    return it->second.emit;
-  }
-};
-
-EmitSession::EmitSession() : impl_(std::make_unique<Impl>()) {}
-EmitSession::~EmitSession() = default;
-void EmitSession::clear() {
-  std::unique_lock lock(impl_->mu);
-  impl_->ports.clear();
-}
-std::size_t EmitSession::size() const {
-  std::shared_lock lock(impl_->mu);
-  return impl_->ports.size();
-}
-
-namespace {
-
-/// Per-module emission cache: every string that the old emitter rebuilt per
-/// use site — entity port lines, per-net `suffix_signal` name tails,
-/// sanitized impl names, rendered component declarations — is built at most
+/// Per-module emission cache: sanitized impl names, rendered component
+/// declarations and the VHDL type of each signal width are built at most
 /// once per module and written through the rope writer as `string_view`
-/// pieces. With a session, per-port products come from the session cache,
-/// so warm compiles skip the string building entirely.
+/// pieces. Net names need no cache: each port's `<suffix>_<signal>` tails
+/// come with its type's lowering.
 class EmitCache {
  public:
-  EmitCache(const Module& m, EmitSession::Impl* session)
-      : m_(m),
-        session_(session),
-        streamlets_(m.streamlets.size()),
-        impl_names_(m.impls.size()) {}
+  explicit EmitCache(const Module& m) : m_(m), impl_names_(m.impls.size()) {}
 
   /// Sanitized entity name of an impl, computed once per module.
   const std::string& impl_name(Index impl) {
@@ -178,19 +64,22 @@ class EmitCache {
     return name;
   }
 
-  struct StreamletEmit {
-    /// Parallel to streamlet.ports; shared with the session cache.
-    std::vector<std::shared_ptr<const PortEmit>> ports;
-    std::size_t net_count = 0;  ///< total nets across all ports
+  /// The spellings of one signal's VHDL type: `std_logic` for 1-bit
+  /// valid/ready, `std_logic_vector(N-1 downto 0)` otherwise.
+  struct TypeText {
+    std::string decl;     ///< " : <type>;" (signal declarations)
+    std::string in, out;  ///< " : in <type>" / " : out <type>" (port lines)
   };
 
-  const StreamletEmit& streamlet(Index index) {
-    std::unique_ptr<StreamletEmit>& slot = streamlets_[index];
-    if (slot == nullptr) {
-      slot = std::make_unique<StreamletEmit>();
-      build(m_.streamlets[index], *slot);
+  const TypeText& type_text(const PhysicalSignal& sig) {
+    if (sig.name == "valid" || sig.name == "ready") return std_logic_;
+    auto [it, inserted] = vectors_.try_emplace(sig.width);
+    if (inserted) {
+      it->second = make_type_text("std_logic_vector(" +
+                                  std::to_string(sig.width - 1) +
+                                  " downto 0)");
     }
-    return *slot;
+    return it->second;
   }
 
   /// Fully rendered component declaration of an impl (depth 1 — component
@@ -202,77 +91,51 @@ class EmitCache {
     std::string& text = component_decls_[impl];
     if (text.empty()) {
       CodeWriter w("  ", 1);
-      emit_component_decl_uncached(w, impl_name(impl),
-                                   streamlet(m_.impls[impl].streamlet));
+      w.open("component ", impl_name(impl), " is");
+      emit_ports(w, m_.streamlets[m_.impls[impl].streamlet]);
+      w.close("end component;");
       text = w.take();
     }
     return text;
   }
 
-  static void emit_port_lines(CodeWriter& w, const StreamletEmit& se) {
-    std::size_t written = 0;
-    for (const auto& pe : se.ports) {
-      for (const std::string& line : pe->port_lines) {
-        ++written;
-        w.line(line, written < se.net_count ? ";" : "");
-      }
-    }
-  }
-
-  static void emit_component_decl_uncached(CodeWriter& w,
-                                           std::string_view name,
-                                           const StreamletEmit& se) {
-    w.open("component ", name, " is");
+  /// The `port (...);` block of an entity or component declaration.
+  void emit_ports(CodeWriter& w, const IrStreamlet& s) {
     w.open("port (");
     w.line("clk : in std_logic;");
     w.line("rst : in std_logic;");
-    emit_port_lines(w, se);
+    std::size_t remaining = net_count(s);
+    for (const IrPort& p : s.ports) {
+      for (const StreamLayout& layout : p.layouts) {
+        for (std::size_t k = 0; k < layout.signals.size(); ++k) {
+          const PhysicalSignal& sig = layout.signals[k];
+          const TypeText& type = type_text(sig);
+          w.line(p.vhdl, layout.tails[k],
+                 is_input(p, layout, sig) ? type.in : type.out,
+                 --remaining > 0 ? ";" : "");
+        }
+      }
+    }
     w.close(");");
-    w.close("end component;");
   }
 
  private:
-  void build(const IrStreamlet& s, StreamletEmit& out) {
-    out.ports.reserve(s.ports.size());
-    for (const IrPort& p : s.ports) {
-      std::shared_ptr<const PortEmit> pe;
-      if (session_ != nullptr && p.type != nullptr) {
-        static obs::Counter& hits = obs::MetricsRegistry::global().counter(
-            "tydi.vhdl.port_cache_hits");
-        static obs::Counter& misses = obs::MetricsRegistry::global().counter(
-            "tydi.vhdl.port_cache_misses");
-        const EmitSession::Impl::Key key{p.sym, p.type.get(), p.dir};
-        pe = session_->find(key);
-        if (pe == nullptr) {
-          ++misses;
-          pe = session_->publish(key, p.type, build_port_emit(p));
-        } else {
-          ++hits;
-        }
-      } else {
-        pe = build_port_emit(p);
-      }
-      out.net_count += pe->nets.size();
-      out.ports.push_back(std::move(pe));
-    }
+  static TypeText make_type_text(const std::string& type) {
+    return TypeText{" : " + type + ";", " : in " + type, " : out " + type};
   }
 
   const Module& m_;
-  EmitSession::Impl* session_;
-  std::vector<std::unique_ptr<StreamletEmit>> streamlets_;
   std::vector<std::string> impl_names_;
   std::vector<std::string> component_decls_;
+  TypeText std_logic_ = make_type_text("std_logic");
+  std::unordered_map<std::int64_t, TypeText> vectors_;  ///< by width
 };
 
-/// Emits `entity <name> is port (...); end <name>;` off the cached lines.
-void emit_entity(CodeWriter& w, std::string_view name,
-                 const EmitCache::StreamletEmit& se) {
+/// Emits `entity <name> is port (...); end <name>;`.
+void emit_entity(CodeWriter& w, std::string_view name, const IrStreamlet& s,
+                 EmitCache& cache) {
   w.open("entity ", name, " is");
-  w.open("port (");
-  w.line("clk : in std_logic;");
-  w.line("rst : in std_logic;");
-  EmitCache::emit_port_lines(w, se);
-  w.close(");");
+  cache.emit_ports(w, s);
   w.close("end entity ", name, ";");
 }
 
@@ -338,12 +201,12 @@ class ArchitectureEmitter {
                        inst.loc);
         continue;
       }
-      const IrStreamlet& child = module_.streamlets[cs];
-      const EmitCache::StreamletEmit& se = cache_.streamlet(cs);
-      for (std::size_t pi = 0; pi < child.ports.size(); ++pi) {
-        const IrPort& p = child.ports[pi];
-        for (const Net& net : se.ports[pi]->nets) {
-          w_.line("signal sig_", inst.vhdl, "_", p.vhdl, net.decl_tail);
+      for (const IrPort& p : module_.streamlets[cs].ports) {
+        for (const StreamLayout& layout : p.layouts) {
+          for (std::size_t k = 0; k < layout.signals.size(); ++k) {
+            w_.line("signal sig_", inst.vhdl, "_", p.vhdl, layout.tails[k],
+                    cache_.type_text(layout.signals[k]).decl);
+          }
         }
       }
     }
@@ -354,18 +217,17 @@ class ArchitectureEmitter {
       Index cs = child_streamlet_index(inst);
       if (cs == kNoIndex) continue;
       const IrStreamlet& child = module_.streamlets[cs];
-      const EmitCache::StreamletEmit& se = cache_.streamlet(cs);
+      std::size_t remaining = net_count(child);
       w_.open("u_", inst.vhdl, " : ", cache_.impl_name(inst.impl));
       w_.open("port map (");
       w_.line("clk => clk,");
-      w_.line("rst => rst", se.net_count > 0 ? "," : "");
-      std::size_t written = 0;
-      for (std::size_t pi = 0; pi < child.ports.size(); ++pi) {
-        const IrPort& p = child.ports[pi];
-        for (const Net& net : se.ports[pi]->nets) {
-          ++written;
-          w_.line(net.map_head, inst.vhdl, "_", p.vhdl, net.suffix_sig,
-                  written < se.net_count ? "," : "");
+      w_.line("rst => rst", remaining > 0 ? "," : "");
+      for (const IrPort& p : child.ports) {
+        for (const StreamLayout& layout : p.layouts) {
+          for (const std::string& tail : layout.tails) {
+            w_.line(p.vhdl, tail, " => sig_", inst.vhdl, "_", p.vhdl, tail,
+                    --remaining > 0 ? "," : "");
+          }
         }
       }
       w_.close(");");
@@ -373,12 +235,11 @@ class ArchitectureEmitter {
     }
   }
 
-  /// A resolved wiring side: the port (for layouts), its cached nets, and
-  /// the signal-bundle prefix as view pieces (self ports use their own
-  /// names, instance ports their declared internal bundle).
+  /// A resolved wiring side: the port (for layouts and tails) and the
+  /// signal-bundle prefix as view pieces (self ports use their own names,
+  /// instance ports their declared internal bundle).
   struct Side {
     const IrPort* port = nullptr;
-    const PortEmit* nets = nullptr;
     std::string_view lead;  // "sig_" or ""
     std::string_view inst;  // instance identifier or ""
     std::string_view sep;   // "_" or ""
@@ -399,7 +260,6 @@ class ArchitectureEmitter {
     }
     if (cs == kNoIndex) return false;
     out.port = &module_.streamlets[cs].ports[ep.port];
-    out.nets = cache_.streamlet(cs).ports[ep.port].get();
     out.name = out.port->vhdl;
     return true;
   }
@@ -415,21 +275,19 @@ class ArchitectureEmitter {
                        c.loc);
         continue;
       }
-      const auto& src_layouts = src.port->layouts;
-      const auto& dst_layouts = dst.port->layouts;
+      const auto src_layouts = src.port->layouts;
+      const auto dst_layouts = dst.port->layouts;
       if (src_layouts.size() != dst_layouts.size()) continue;  // DRC reported
       emit_endpoint_comment(c.src, c.dst);
-      std::size_t src_net = 0;
-      std::size_t dst_net = 0;
       for (std::size_t s = 0; s < src_layouts.size(); ++s) {
         const auto& src_sigs = src_layouts[s].signals;
         const auto& dst_sigs = dst_layouts[s].signals;
         const std::size_t common = std::min(src_sigs.size(), dst_sigs.size());
         for (std::size_t k = 0; k < common; ++k) {
           const PhysicalSignal& sig = src_sigs[k];
-          // src side: the cached `<suffix>_<sig>` tail; dst side keeps the
+          // src side: the type's `<suffix>_<sig>` tail; dst side keeps the
           // historical spelling `<dst suffix>_<src signal name>`.
-          const std::string& src_tail = src.nets->nets[src_net + k].suffix_sig;
+          const std::string& src_tail = src_layouts[s].tails[k];
           const std::string& dst_suffix = dst_layouts[s].suffix;
           if (sig.reverse) {
             // ready flows sink -> source.
@@ -442,8 +300,6 @@ class ArchitectureEmitter {
                     src_tail, ";");
           }
         }
-        src_net += src_sigs.size();
-        dst_net += dst_sigs.size();
       }
     }
   }
@@ -511,14 +367,19 @@ void emit_external_architecture(CodeWriter& w, const IrImpl& impl,
 }  // namespace
 
 std::string emit(const Module& module, const VhdlOptions& options,
-                 support::DiagnosticEngine& diags, EmitSession* session) {
+                 support::DiagnosticEngine& diags) {
+  // Every entity port is emitted from its type's lowering, so each one
+  // counts as a port-cache hit; the miss counter stays registered (at 0)
+  // because metric names are append-only.
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& port_hits = reg.counter("tydi.vhdl.port_cache_hits");
+  [[maybe_unused]] static obs::Counter& port_misses =
+      reg.counter("tydi.vhdl.port_cache_misses");
   CodeWriter w;
-  EmitCache cache(module, session != nullptr ? &session->impl() : nullptr);
-  if (options.emit_header) {
-    w.line("-- VHDL generated by tydi-cpp (Tydi-IR backend)");
-    if (!module.top_name.empty()) w.line("-- top: ", module.top_name);
-    w.line();
-  }
+  EmitCache cache(module);
+  w.line("-- VHDL generated by tydi-cpp (Tydi-IR backend)");
+  if (!module.top_name.empty()) w.line("-- top: ", module.top_name);
+  w.line();
   for (std::size_t i = 0; i < module.impls.size(); ++i) {
     const IrImpl& impl = module.impls[i];
     const IrStreamlet* s = module.streamlet_of(impl);
@@ -535,7 +396,8 @@ std::string emit(const Module& module, const VhdlOptions& options,
     w.line("use ieee.numeric_std.all;");
     w.line();
     w.line("-- ", impl.display_name, " of ", s->display_name);
-    emit_entity(w, name, cache.streamlet(impl.streamlet));
+    emit_entity(w, name, *s, cache);
+    port_hits += s->ports.size();
     w.line();
     if (impl.external) {
       emit_external_architecture(w, impl, *s, name, options, diags);

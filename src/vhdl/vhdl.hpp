@@ -20,7 +20,6 @@
 //    emitted as black boxes.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "src/ir/ir.hpp"
@@ -29,45 +28,16 @@
 namespace tydi::vhdl {
 
 struct VhdlOptions {
-  /// Library header emitted at the top of the file.
-  bool emit_header = true;
   /// Emit behavioural bodies for known stdlib externals (otherwise black
   /// boxes only).
   bool generate_stdlib_rtl = true;
 };
 
-/// Session-lifetime emission cache. A port's emission products — its entity
-/// port lines and per-net name/type fragments — are pure functions of the
-/// port's name, logical type identity and direction; a
-/// driver::CompileSession hands warm compiles the same TypeRefs, so the
-/// emitter reuses the strings built by earlier compiles instead of
-/// rebuilding them per module. Opaque: the payload type lives in vhdl.cpp.
-/// Owned by the session; thread-safe (shared-lock reads, exclusive
-/// publishes) so concurrent compiles emit through one cache.
-class EmitSession {
- public:
-  EmitSession();
-  ~EmitSession();
-  EmitSession(const EmitSession&) = delete;
-  EmitSession& operator=(const EmitSession&) = delete;
-
-  void clear();
-  [[nodiscard]] std::size_t size() const;
-
-  struct Impl;
-  [[nodiscard]] Impl& impl() { return *impl_; }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Emits the whole lowered design as one VHDL file (deterministic order:
-/// module table order, children before parents). `session` (optional)
-/// reuses per-port emission strings across compiles of a session.
+/// Emits the whole lowered design as one VHDL file, library header first
+/// (deterministic order: module table order, children before parents).
 [[nodiscard]] std::string emit(const ir::Module& module,
                                const VhdlOptions& options,
-                               support::DiagnosticEngine& diags,
-                               EmitSession* session = nullptr);
+                               support::DiagnosticEngine& diags);
 
 /// VHDL-safe identifier for design names (lowercase, no '__' runs).
 [[nodiscard]] std::string vhdl_name(std::string_view name);

@@ -3,8 +3,8 @@
 // standalone compiles — hit or miss, with or without a racing
 // invalidation — and the parallel compile_batch must be schedule-
 // independent. These tests run under TSan in CI (the sim-shard-tsan job),
-// which is where the locking discipline of the memo / parse / lowering /
-// emission caches is actually enforced.
+// which is where the locking discipline of the memo and parse caches and
+// the lock-free publication of per-type lowerings are actually enforced.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 
 #include "src/driver/compiler.hpp"
 #include "src/tpch/tpch.hpp"
+#include "src/types/physical.hpp"
 
 namespace tydi {
 namespace {
@@ -147,6 +148,40 @@ TEST(ConcurrentCompile, InvalidationRacingCompilesIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": " << failures[t];
   }
+}
+
+// First use of a fresh type's lowering from many threads at once: every
+// racing builder but one loses the publish and adopts the winner's copy.
+TEST(ConcurrentCompile, FirstUseLoweringRacePublishesOneObject) {
+  types::StreamParams params;
+  params.throughput = 4.0;
+  params.dimension = 2;
+  params.complexity = 8;
+  const types::TypeRef type = types::make_stream(
+      types::make_group({{"key", types::make_bit(32)},
+                         {"chars", types::make_stream(types::make_bit(8))}}),
+      params);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<const types::TypeLowering*> seen(kThreads, nullptr);
+  {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t]() {
+        ready.fetch_add(1, std::memory_order_acq_rel);
+        while (ready.load(std::memory_order_acquire) < kThreads) {
+          std::this_thread::yield();
+        }
+        seen[t] = &types::lowering_of(*type);
+      });
+    }
+    for (std::thread& th : pool) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  EXPECT_EQ(seen[0], &types::lowering_of(*type));
+  EXPECT_EQ(seen[0]->layouts.size(), 2u);
 }
 
 // The whole TPC-H batch at --jobs {2,4,8} must reproduce the --jobs 1 run

@@ -102,6 +102,24 @@ TEST(Ir, PortsCarryCachedPhysicalLayouts) {
   }
 }
 
+TEST(Ir, PortsOfOneTypeShareItsLowering) {
+  // A sessionless compile: both ports of stage_s are declared with the
+  // named type t_byte, so they borrow the very same layouts and display.
+  auto result = compile(kSmallDesign, "top");
+  ASSERT_TRUE(result.success()) << result.report();
+  const ir::IrStreamlet* s =
+      result.ir.find_streamlet(support::intern("stage_s"));
+  ASSERT_NE(s, nullptr);
+  ASSERT_EQ(s->ports.size(), 2u);
+  const ir::IrPort& a = s->ports[0];
+  const ir::IrPort& b = s->ports[1];
+  ASSERT_EQ(a.type, b.type);
+  ASSERT_FALSE(a.layouts.empty());
+  EXPECT_EQ(a.layouts.data(), b.layouts.data());
+  EXPECT_EQ(a.layouts.data(), types::lowering_of(*a.type).layouts.data());
+  EXPECT_EQ(a.type_display.data(), b.type_display.data());
+}
+
 TEST(Ir, EmissionIsDeterministic) {
   auto a = compile(kSmallDesign, "top");
   auto b = compile(kSmallDesign, "top");

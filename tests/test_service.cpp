@@ -200,6 +200,47 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
 }
 
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// The accept loop joins finished connection threads, so sequential
+// requests do not pile up thread stacks (2 mappings each) until drain.
+TEST(ServiceServer, SequentialConnectionsDoNotGrowMappings) {
+  const std::string socket_path =
+      "/tmp/tydid_maps_" + std::to_string(::getpid()) + ".sock";
+  service::CompileService svc;
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  support::Status serve_status;
+  std::thread daemon([&]() { serve_status = service::serve(svc, config); });
+
+  service::Response ping;
+  support::Status up;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    up = service::request(socket_path, "PING", ping);
+    if (up.is_ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(up.is_ok()) << up.render();
+
+  const std::size_t before = mapped_regions();
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(service::request(socket_path, "PING", ping).is_ok()) << i;
+    ASSERT_EQ(ping.payload, "pong");
+  }
+  const std::size_t after = mapped_regions();
+  EXPECT_LT(after, before + 64) << before << " -> " << after;
+
+  service::Response bye;
+  ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
+  daemon.join();
+  EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
+}
+
 // A generous budget (default or per request) never changes the output.
 TEST(ServiceServer, BudgetedRequestStillSucceeds) {
   service::ServiceConfig config;

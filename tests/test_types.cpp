@@ -1,7 +1,8 @@
 // Logical-type system tests: the Table I bit-width algebra, strict vs
 // structural equality (Sec. IV-B), the physical stream signal rules
-// (Tydi-spec), and connection compatibility — including parameterized
-// property sweeps over the (complexity x dimension x lanes) grid.
+// (Tydi-spec), the per-type lowering cache, and connection compatibility —
+// including parameterized property sweeps over the (complexity x dimension
+// x lanes) grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -212,6 +213,70 @@ TEST(Physical, UserSignalWidth) {
   params.user = make_bit(5);
   auto streams = physical_streams(make_stream(make_bit(8), params), "p");
   EXPECT_EQ(streams[0].user_bits, 5);
+}
+
+// --- Per-type lowering ------------------------------------------------------
+
+TypeRef nested_stream_type() {
+  StreamParams params;
+  params.throughput = 2.0;
+  params.dimension = 1;
+  params.complexity = 7;
+  TypeRef element = make_group(
+      {{"len", make_bit(16)}, {"chars", make_stream(make_bit(8))}});
+  return make_stream(element, params, "Words");
+}
+
+TEST(Lowering, RepeatedCallsReturnTheSameObject) {
+  TypeRef t = nested_stream_type();
+  bool hit = true;
+  const TypeLowering& first = lowering_of(*t, &hit);
+  EXPECT_FALSE(hit);
+  const TypeLowering& second = lowering_of(*t, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(first.display, t->to_display());
+}
+
+TEST(Lowering, LayoutsMatchPhysicalStreamsAndSignals) {
+  TypeRef t = nested_stream_type();
+  const std::vector<PhysicalStream> streams = physical_streams(t, "");
+  const TypeLowering& lowering = lowering_of(*t);
+  ASSERT_EQ(lowering.layouts.size(), streams.size());
+  ASSERT_EQ(streams.size(), 2u);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const StreamLayout& layout = lowering.layouts[i];
+    EXPECT_EQ(layout.suffix, streams[i].name);
+    EXPECT_EQ(layout.stream.name, streams[i].name);
+    EXPECT_EQ(layout.stream.payload_bits(), streams[i].payload_bits());
+    EXPECT_EQ(layout.stream.lanes, streams[i].lanes);
+    const std::vector<PhysicalSignal> signals = streams[i].signals();
+    ASSERT_EQ(layout.signals.size(), signals.size());
+    for (std::size_t k = 0; k < signals.size(); ++k) {
+      EXPECT_EQ(layout.signals[k].name, signals[k].name);
+      EXPECT_EQ(layout.signals[k].width, signals[k].width);
+      EXPECT_EQ(layout.signals[k].reverse, signals[k].reverse);
+    }
+  }
+}
+
+TEST(Lowering, TailsAreSuffixUnderscoreSignalName) {
+  TypeRef t = nested_stream_type();
+  const TypeLowering& lowering = lowering_of(*t);
+  for (const StreamLayout& layout : lowering.layouts) {
+    ASSERT_EQ(layout.tails.size(), layout.signals.size());
+    for (std::size_t k = 0; k < layout.signals.size(); ++k) {
+      EXPECT_EQ(layout.tails[k], layout.suffix + "_" + layout.signals[k].name);
+    }
+  }
+  EXPECT_EQ(lowering.layouts[1].tails[0], "__chars_valid");
+}
+
+TEST(Lowering, NonStreamTypesHaveNoLayouts) {
+  TypeRef t = make_bit(8, "byte");
+  const TypeLowering& lowering = lowering_of(*t);
+  EXPECT_TRUE(lowering.layouts.empty());
+  EXPECT_EQ(lowering.display, "Bit(8) [byte]");
 }
 
 // --- Connection compatibility ---------------------------------------------
