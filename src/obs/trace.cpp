@@ -15,7 +15,17 @@ std::uint64_t next_tracer_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// The innermost RequestScope's id on this thread (0 = none).
+thread_local std::uint64_t t_request_id = 0;
+
 }  // namespace
+
+RequestScope::RequestScope(std::uint64_t request_id)
+    : previous_(t_request_id) {
+  t_request_id = request_id;
+}
+
+RequestScope::~RequestScope() { t_request_id = previous_; }
 
 SpanTracer::SpanTracer(std::size_t ring_capacity)
     : id_(next_tracer_id()),
@@ -57,6 +67,11 @@ SpanTracer::Ring& SpanTracer::this_thread_ring() {
 void SpanTracer::record(std::string_view name, std::int64_t start_ns,
                         std::int64_t dur_ns, std::string args) {
   Ring& ring = this_thread_ring();
+  if (t_request_id != 0) {
+    if (!args.empty()) args += ',';
+    args += "\"request_id\":";
+    args += std::to_string(t_request_id);
+  }
   SpanRecord rec;
   rec.name = std::string(name);
   rec.args = std::move(args);

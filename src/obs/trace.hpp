@@ -101,6 +101,23 @@ class SpanTracer {
   std::vector<std::shared_ptr<Ring>> rings_;
 };
 
+/// Names the request the calling thread is working for: while a scope is
+/// open, every span this thread records (RAII or `SpanTracer::record`)
+/// carries a `"request_id":<id>` arg, so a daemon request's
+/// `service.request` span links to the `compile` and `compile.phase.*`
+/// spans it ran without threading the id through the driver. Scopes nest;
+/// the innermost id wins and the outer one returns on close.
+class RequestScope {
+ public:
+  explicit RequestScope(std::uint64_t request_id);
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+  ~RequestScope();
+
+ private:
+  std::uint64_t previous_;
+};
+
 /// RAII span: captures the clock on construction and records on
 /// destruction. On a disabled tracer both ends are a relaxed load — no
 /// clock reads, no allocation, no ring touch.

@@ -56,6 +56,9 @@ struct PendingRequest::State {
   /// admitted + envelope.deadline_ms; only meaningful with has_deadline.
   Clock::time_point deadline;
   bool has_deadline = false;
+  /// Set by compile_and_journal: "hit" (answer table) or "compiled"; the
+  /// service.request span's `answer` arg.
+  std::string_view answer;
 
   [[nodiscard]] CancelReason cancel_reason() const {
     return static_cast<CancelReason>(cancel.load(std::memory_order_relaxed));
@@ -96,7 +99,7 @@ Response PendingRequest::take() {
   if (!state_) return Response{};
   std::unique_lock lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->done; });
-  return state_->response;
+  return std::move(state_->response);
 }
 
 void PendingRequest::cancel() {
@@ -352,6 +355,10 @@ const CompileService::Verb CompileService::kVerbs[] = {
     {"INVALIDATE", false,
      [](CompileService& svc, std::istream&, PendingRequest::State&) {
        svc.session_.invalidate();
+       {
+         std::unique_lock lock(svc.answers_mu_);
+         svc.answers_.clear();
+       }
        return ok_response("invalidated");
      }},
     {"SNAPSHOT", false,
@@ -530,8 +537,9 @@ PendingRequest CompileService::submit(const std::string& line) {
       std::begin(kVerbs), std::end(kVerbs),
       [&](const Verb& v) { return v.name == name; });
   if (verb == std::end(kVerbs) || !verb->queued) {
+    obs::RequestScope scope(state->request_id);
     obs::Span span("service.request");
-    span.arg("verb", name).arg("request_id", state->request_id);
+    span.arg("verb", name);
     finish(state, verb == std::end(kVerbs)
                       ? error_response(StatusCode::kInvalidArgument,
                                        "unknown verb '" + name + "'")
@@ -761,11 +769,14 @@ void CompileService::execute(
   const Clock::time_point exec_start = Clock::now();
   Response response;
   {
+    // Every span recorded while the request runs (the driver's compile
+    // and compile.phase.* included) carries its request_id.
+    obs::RequestScope scope(state->request_id);
     obs::Span span("service.request");
-    span.arg("request_id", state->request_id)
-        .arg("prio", to_string(state->envelope.priority));
+    span.arg("prio", to_string(state->envelope.priority));
     std::istringstream args(state->args);
     response = state->run(*this, args, *state);
+    if (!state->answer.empty()) span.arg("answer", state->answer);
   }
   const double exec_ms = ms_since(exec_start);
   exec_histogram.observe(exec_ms);
@@ -835,7 +846,7 @@ Response CompileService::sleep_request(double ms,
 Response CompileService::compile_and_journal(
     const std::vector<driver::NamedSource>& sources,
     driver::CompileOptions options, const std::string& emit,
-    double budget_ms, std::string key, bool stamp_sources,
+    double budget_ms, const std::string& key, bool stamp_sources,
     PendingRequest::State& state) {
   if (emit == "vhdl") {
     options.emit_ir = false;
@@ -849,6 +860,25 @@ Response CompileService::compile_and_journal(
                               "' (expected vhdl|ir)");
   }
   exec_seq_.fetch_add(1, std::memory_order_relaxed);
+  static auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& hits_metric = reg.counter("tydi.service.answer_hits");
+  static obs::Counter& misses_metric =
+      reg.counter("tydi.service.answer_misses");
+
+  std::vector<driver::SourceStamp> stamps =
+      stamp_sources ? driver::source_stamps(sources)
+                    : std::vector<driver::SourceStamp>{};
+  if (const std::shared_ptr<const std::string> answer =
+          find_answer(key, stamps)) {
+    // No compile work, so no budget check: only admission, the deadline
+    // and the disconnect checks in execute() stand before a hit.
+    ++answer_hits_;
+    ++hits_metric;
+    state.answer = "hit";
+    return ok_response(*answer);
+  }
+  ++misses_metric;
+  state.answer = "compiled";
 
   // The driver checks the budget (request budget min'd with the remaining
   // deadline) and the cancel flag at every phase boundary, and classifies
@@ -875,11 +905,33 @@ Response CompileService::compile_and_journal(
   if (journal_) {
     // Stamps come from the exact bytes that compiled: replay skips the key
     // once any stamped file on disk no longer matches.
-    journal_->record(warmup::JournalEntry{
-        std::move(key), stamp_sources ? driver::source_stamps(sources)
-                                      : std::vector<driver::SourceStamp>{}});
+    journal_->record(warmup::JournalEntry{key, stamps});
   }
+  remember_answer(key, std::move(stamps), r.payload);
   return r;
+}
+
+std::shared_ptr<const std::string> CompileService::find_answer(
+    const std::string& key,
+    const std::vector<driver::SourceStamp>& stamps) const {
+  std::shared_lock lock(answers_mu_);
+  const auto it = answers_.find(key);
+  if (it == answers_.end() || it->second.stamps != stamps) return nullptr;
+  return it->second.payload;
+}
+
+void CompileService::remember_answer(const std::string& key,
+                                     std::vector<driver::SourceStamp> stamps,
+                                     const std::string& payload) {
+  std::unique_lock lock(answers_mu_);
+  auto [it, first_sight] = answers_.try_emplace(key);
+  Answer& answer = it->second;
+  if (first_sight || answer.stamps != stamps) {
+    answer.stamps = std::move(stamps);
+    answer.payload.reset();
+  } else if (!answer.payload) {
+    answer.payload = std::make_shared<const std::string>(payload);
+  }
 }
 
 std::string CompileService::health_json() const {
@@ -889,6 +941,13 @@ std::string CompileService::health_json() const {
   const double hit_rate =
       lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
   const double uptime_ms = ms_since(start_);
+  std::size_t answers_cached = 0;
+  {
+    std::shared_lock lock(answers_mu_);
+    for (const auto& [key, answer] : answers_) {
+      if (answer.payload) ++answers_cached;
+    }
+  }
   std::string last_abort;
   {
     std::lock_guard lock(last_abort_mu_);
@@ -920,6 +979,10 @@ std::string CompileService::health_json() const {
   out += std::to_string(failures_.get());
   out += ",\"memo_hit_rate\":";
   out += obs::json_number(hit_rate);
+  out += ",\"answer_hits\":";
+  out += std::to_string(answer_hits_.get());
+  out += ",\"answers_cached\":";
+  out += std::to_string(answers_cached);
   out += ",\"journal_enabled\":";
   out += journal_ ? "true" : "false";
   out += ",\"journal_bytes\":";

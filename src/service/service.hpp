@@ -48,8 +48,11 @@
 //   HEALTH                              liveness JSON: status, uptime_ms,
 //                                       in_flight, queue_depth, workers,
 //                                       draining, shed_total, requests,
-//                                       failures, memo_hit_rate, last_abort
-//   INVALIDATE                          drop every session cache
+//                                       failures, memo_hit_rate,
+//                                       answer_hits, answers_cached,
+//                                       last_abort, journal/replay fields
+//   INVALIDATE                          drop every session cache and
+//                                       every stored answer
 //   SNAPSHOT                            compact the compile journal now
 //                                       (atomic rewrite of the live key
 //                                       set); payload reports keys + bytes
@@ -84,10 +87,31 @@
 // boundary and classifies either as kAborted (phase "watchdog"), so work
 // for dead peers aborts instead of running to completion.
 //
+// Answer table: a compile's output is a pure function of its sources and
+// options, and the journal key (the normalized request line, plus the
+// sources' driver::source_stamps for FILE; TPCH sources are built into the
+// binary) names exactly those inputs. The service keeps one answer per
+// journal key and returns it without calling the driver when a request's
+// key and stamps match:
+//   - a key's first successful compile with given stamps records only the
+//     stamps; the second stores the payload (one-shot keys, journal replay
+//     and every intermediate version of an edited file never copy one, and
+//     replay still rewarms the session caches);
+//   - a successful compile with different stamps replaces the entry
+//     (stamps only again); failures are never stored;
+//   - INVALIDATE clears the table; answers never reach the journal;
+//   - a hit runs on the worker pool behind admission control and the
+//     deadline and disconnect checks, but does no compile work, so it is
+//     served even under a budget no compile could meet (`TPCH 6 vhdl
+//     0.001`); a miss under that budget still aborts kAborted.
+// Memory: one payload per distinct key (about 1.0 MB for the 10 TPCH
+// keys: 1,002,350 bytes), held once as shared_ptr<const std::string>.
+//
 // Thread-safety: submit/handle_line may be called from any number of
 // transport threads concurrently — admission is a try_push on the bounded
-// queue, the underlying session caches synchronize themselves, and the
-// service's own counters are relaxed atomics.
+// queue, the underlying session caches synchronize themselves, the answer
+// table sits behind a shared_mutex, and the service's own counters are
+// relaxed atomics.
 #pragma once
 
 #include <atomic>
@@ -96,8 +120,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/driver/compiler.hpp"
@@ -198,7 +224,8 @@ class PendingRequest {
   [[nodiscard]] bool done() const;
   /// Waits up to `ms` for completion; true when done.
   [[nodiscard]] bool wait_for(double ms) const;
-  /// Blocks until the response is ready and returns it.
+  /// Blocks until the response is ready and moves it out: the one
+  /// consumer calls this once (a payload can be hundreds of KB).
   [[nodiscard]] Response take();
   /// Trips the request's cancellation hook (the transport calls this when
   /// the client disconnects): a still-queued request completes kAborted
@@ -299,12 +326,14 @@ class CompileService {
 
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
-  /// Compiles one TPCH/FILE request and, on success, journals `key`
-  /// (with the sources' content stamps when `stamp_sources`).
+  /// Answers one TPCH/FILE request from the answer table when `key` and
+  /// the stamps match a stored answer; otherwise compiles it and, on
+  /// success, journals `key` (with the sources' content stamps when
+  /// `stamp_sources`) and applies the second-sight rule to the table.
   [[nodiscard]] Response compile_and_journal(
       const std::vector<driver::NamedSource>& sources,
       driver::CompileOptions options, const std::string& emit,
-      double budget_ms, std::string key, bool stamp_sources,
+      double budget_ms, const std::string& key, bool stamp_sources,
       PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,
                                        PendingRequest::State& state);
@@ -315,6 +344,15 @@ class CompileService {
   [[nodiscard]] double retry_after_hint_ms() const;
   void finish(const std::shared_ptr<PendingRequest::State>& state,
               Response response);
+  /// The stored answer for `key` when its stamps equal `stamps`, else null.
+  [[nodiscard]] std::shared_ptr<const std::string> find_answer(
+      const std::string& key,
+      const std::vector<driver::SourceStamp>& stamps) const;
+  /// After a successful compile: records `stamps` on first sight (or on a
+  /// stamp change), stores `payload` on the second.
+  void remember_answer(const std::string& key,
+                       std::vector<driver::SourceStamp> stamps,
+                       const std::string& payload);
   [[nodiscard]] std::string stats_text() const;
   [[nodiscard]] std::string health_json() const;
   void record_abort(const support::Status& status);
@@ -354,6 +392,16 @@ class CompileService {
   /// HEALTH surfaces it so operators see watchdog fires without log diving.
   mutable std::mutex last_abort_mu_;
   std::string last_abort_;
+
+  /// One answer-table entry: the stamps its key last compiled with, and
+  /// the payload once the key compiled a second time with those stamps.
+  struct Answer {
+    std::vector<driver::SourceStamp> stamps;
+    std::shared_ptr<const std::string> payload;
+  };
+  mutable std::shared_mutex answers_mu_;
+  std::unordered_map<std::string, Answer> answers_;
+  support::RelaxedCounter answer_hits_;
 
   // Durability (src/service/warmup.hpp). journal_ is constructed only when
   // config_.journal_path is set and the path is at least creatable.

@@ -661,5 +661,46 @@ TEST(ServiceWarmRestart, ServiceLevelFaultInjectionSurvivesCompactionCrash) {
   ::unlink(journal_path.c_str());
 }
 
+// Replay compiles each journaled key once — first sight for the answer
+// table — so it rewarms the session caches but stores no payloads, and the
+// journal itself holds keys only, never outputs.
+TEST(ServiceWarmRestart, ReplayStoresNoAnswers) {
+  const std::string journal_path = temp_path("svc_answers.jnl");
+  ::unlink(journal_path.c_str());
+  service::ServiceConfig config;
+  config.workers = 2;
+  config.journal_path = journal_path;
+  std::size_t payload_bytes = 0;
+  {
+    service::CompileService svc(config);
+    for (int i = 0; i < 3; ++i) {
+      service::Response r = svc.handle_line("TPCH 6 vhdl");
+      ASSERT_TRUE(r.ok()) << r.payload;
+      payload_bytes = r.payload.size();
+    }
+    const std::string health = svc.handle_line("HEALTH").payload;
+    EXPECT_NE(health.find("\"answers_cached\":1"), std::string::npos)
+        << health;
+    EXPECT_NE(health.find("\"answer_hits\":1"), std::string::npos)
+        << health;
+    svc.drain();
+  }
+  {
+    service::CompileService svc(config);
+    ASSERT_NE(svc.journal(), nullptr);
+    EXPECT_LT(svc.journal()->journal_bytes(), payload_bytes);
+    svc.start_replay();
+    svc.wait_replay();
+    EXPECT_EQ(svc.replay_stats().replayed.get(), 1u);
+    const std::string health = svc.handle_line("HEALTH").payload;
+    EXPECT_NE(health.find("\"answers_cached\":0"), std::string::npos)
+        << health;
+    EXPECT_NE(health.find("\"answer_hits\":0"), std::string::npos)
+        << health;
+    svc.drain();
+  }
+  ::unlink(journal_path.c_str());
+}
+
 }  // namespace
 }  // namespace tydi

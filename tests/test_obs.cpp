@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/service/service.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi {
@@ -211,6 +213,79 @@ TEST(Trace, EightThreadsEmitSpansConcurrently) {
   int tids = 0;
   for (bool b : seen) tids += b ? 1 : 0;
   EXPECT_EQ(tids, kThreads);
+}
+
+// Trace linking: a RequestScope tags every span its thread records, RAII
+// spans and direct records alike; a nested scope wins until it closes.
+TEST(Trace, RequestScopeTagsEverySpanOnItsThread) {
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
+  {
+    obs::RequestScope scope(42);
+    {
+      obs::Span span(tracer, "outer");
+      span.arg("k", std::int64_t{1});
+    }
+    {
+      obs::RequestScope nested(7);
+      tracer.record("nested", 10, 1);
+    }
+    tracer.record("restored", 20, 1);
+  }
+  tracer.record("untagged", 30, 1);
+
+  std::map<std::string, std::string> args;
+  for (const obs::SpanRecord& s : tracer.snapshot()) args[s.name] = s.args;
+  EXPECT_EQ(args["outer"], "\"k\":1,\"request_id\":42");
+  EXPECT_EQ(args["nested"], "\"request_id\":7");
+  EXPECT_EQ(args["restored"], "\"request_id\":42");
+  EXPECT_EQ(args["untagged"], "");
+  EXPECT_TRUE(obs::json_valid(tracer.export_chrome_json()));
+}
+
+// A daemon request's service.request span and the driver's compile and
+// compile.phase.* spans it ran carry the same request_id.
+TEST(Trace, ServiceRequestIdLinksDriverSpans) {
+  obs::SpanTracer& tracer = obs::SpanTracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    service::ServiceConfig config;
+    config.workers = 1;
+    service::CompileService svc(config);
+    ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  }
+  tracer.set_enabled(false);
+  const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+  tracer.clear();
+
+  // The id is the last arg of every tagged span.
+  auto request_id = [](const std::string& args) {
+    const std::size_t at = args.rfind("\"request_id\":");
+    return at == std::string::npos ? std::string() : args.substr(at);
+  };
+  std::string id;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name == "service.request") {
+      id = request_id(s.args);
+      EXPECT_NE(s.args.find("\"answer\":\"compiled\""), std::string::npos)
+          << s.args;
+    }
+  }
+  ASSERT_FALSE(id.empty());
+  int compiles = 0;
+  int phases = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name == "compile") {
+      ++compiles;
+      EXPECT_EQ(request_id(s.args), id) << s.args;
+    } else if (s.name.rfind("compile.phase.", 0) == 0) {
+      ++phases;
+      EXPECT_EQ(request_id(s.args), id) << s.name << ": " << s.args;
+    }
+  }
+  EXPECT_EQ(compiles, 1);
+  EXPECT_EQ(phases, 6);  // all but ir: the request emits VHDL only
 }
 
 // Golden-schema test: a traced TPC-H batch compile exports Chrome

@@ -1,20 +1,24 @@
 // Compile-service tests: the wire protocol (header/payload framing, verb
 // parsing, status-code mapping) unit-tested against CompileService, plus
 // the AF_UNIX server end-to-end — a daemon thread serving parallel client
-// requests that must be byte-identical to in-process compiles.
+// requests that must be byte-identical to in-process compiles — and the
+// answer table that serves repeated requests without compiling.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/tpch/tpch.hpp"
@@ -398,6 +402,166 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
   EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
   std::remove(fletcher_path.c_str());
   std::remove(query_path.c_str());
+}
+
+// ---- Answer table: repeated requests answered without compiling ----
+
+/// A numeric field of the HEALTH JSON (-1 when absent).
+long long health_field(service::CompileService& svc, const std::string& name) {
+  const std::string health = svc.handle_line("HEALTH").payload;
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = health.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(health.c_str() + at + key.size());
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+// First sight records the key's stamps, the second compile stores the
+// answer, and the third is answered from the table: byte-identical to a
+// sessionless compile, with no driver call behind it.
+TEST(ServiceAnswers, ThirdIdenticalRequestIsAnsweredWithoutCompiling) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  driver::CompileResult golden = tpch::compile_query(*q);
+  ASSERT_TRUE(golden.success()) << golden.report();
+
+  service::CompileService svc;
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  EXPECT_EQ(health_field(svc, "answers_cached"), 0);
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  EXPECT_EQ(health_field(svc, "answers_cached"), 1);
+  EXPECT_EQ(health_field(svc, "answer_hits"), 0);
+
+  const std::uint64_t compiles = counter_value("tydi.compile.total");
+  const std::uint64_t hits = counter_value("tydi.service.answer_hits");
+  service::Response third = svc.handle_line("TPCH 6 vhdl");
+  ASSERT_TRUE(third.ok()) << third.payload;
+  EXPECT_EQ(third.payload, golden.vhdl_text);
+  EXPECT_EQ(counter_value("tydi.compile.total"), compiles);
+  EXPECT_EQ(counter_value("tydi.service.answer_hits"), hits + 1);
+  EXPECT_EQ(health_field(svc, "answer_hits"), 1);
+}
+
+// A FILE key's answer is tied to the content stamps of its sources: once
+// the bytes change, the next request compiles the new bytes.
+TEST(ServiceAnswers, EditedFileIsRecompiled) {
+  const std::string path =
+      "/tmp/tydi_answers_" + std::to_string(::getpid()) + ".td";
+  auto source = [](int bits) {
+    return "type t = Stream(Bit(" + std::to_string(bits) +
+           "), d=1, c=2);\n"
+           "streamlet s { a: t in, b: t out, }\n"
+           "impl top of s {\n  a => b,\n}\n";
+  };
+  auto write = [&](const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  };
+  auto sessionless = [&](const std::string& text) {
+    driver::CompileOptions options;
+    options.top = "top";
+    options.emit_ir = false;
+    driver::CompileResult result = driver::compile({{path, text}}, options);
+    EXPECT_TRUE(result.success()) << result.report();
+    return result.vhdl_text;
+  };
+  const std::string line = "FILE " + path + " top vhdl";
+
+  service::CompileService svc;
+  write(source(8));
+  for (int i = 0; i < 3; ++i) {
+    service::Response r = svc.handle_line(line);
+    ASSERT_TRUE(r.ok()) << r.payload;
+    EXPECT_EQ(r.payload, sessionless(source(8)));
+  }
+  EXPECT_EQ(health_field(svc, "answer_hits"), 1);
+
+  write(source(16));
+  const std::uint64_t compiles = counter_value("tydi.compile.total");
+  service::Response edited = svc.handle_line(line);
+  ASSERT_TRUE(edited.ok()) << edited.payload;
+  EXPECT_EQ(counter_value("tydi.compile.total"), compiles + 1);
+  EXPECT_EQ(edited.payload, sessionless(source(16)));
+  EXPECT_NE(edited.payload, sessionless(source(8)));
+  EXPECT_EQ(health_field(svc, "answer_hits"), 1);
+  // The changed stamps replaced the entry: nothing stored until the new
+  // bytes compile a second time.
+  EXPECT_EQ(health_field(svc, "answers_cached"), 0);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceAnswers, InvalidateDropsEveryAnswer) {
+  service::CompileService svc;
+  for (const char* line : {"TPCH 6 vhdl", "TPCH 6 ir"}) {
+    ASSERT_TRUE(svc.handle_line(line).ok());
+    ASSERT_TRUE(svc.handle_line(line).ok());
+  }
+  EXPECT_EQ(health_field(svc, "answers_cached"), 2);
+  ASSERT_TRUE(svc.handle_line("INVALIDATE").ok());
+  EXPECT_EQ(health_field(svc, "answers_cached"), 0);
+
+  const std::uint64_t compiles = counter_value("tydi.compile.total");
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  EXPECT_EQ(counter_value("tydi.compile.total"), compiles + 1);
+  EXPECT_EQ(health_field(svc, "answer_hits"), 0);
+}
+
+// A hit does no compile work, so no budget can abort it: a stored answer
+// is served under a 0.001 ms budget, while a miss under the same budget
+// still aborts kAborted at its first phase boundary.
+TEST(ServiceAnswers, HitIsServedUnderABudgetNoCompileMeets) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  driver::CompileResult golden = tpch::compile_query(*q);
+  ASSERT_TRUE(golden.success()) << golden.report();
+
+  service::CompileService svc;
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  service::Response hit = svc.handle_line("TPCH 6 vhdl 0.001");
+  ASSERT_TRUE(hit.ok()) << hit.payload;
+  EXPECT_EQ(hit.payload, golden.vhdl_text);
+
+  // Never compiled before: a miss.
+  service::Response miss = svc.handle_line("TPCH 6 ir 0.001");
+  EXPECT_EQ(miss.status.code(), support::StatusCode::kAborted)
+      << miss.payload;
+  EXPECT_EQ(miss.status.phase(), "watchdog") << miss.payload;
+}
+
+// Racing requests for one key all get the same bytes, whether they
+// compiled, stored or hit (ThreadSanitizer runs this in CI).
+TEST(ServiceAnswers, EightThreadsRacingOnOneKeyGetIdenticalPayloads) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  driver::CompileResult golden = tpch::compile_query(*q);
+  ASSERT_TRUE(golden.success()) << golden.report();
+
+  service::ServiceConfig config;
+  config.workers = 4;
+  service::CompileService svc(config);
+  constexpr int kThreads = 8;
+  constexpr int kRequestsEach = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        for (int i = 0; i < kRequestsEach; ++i) {
+          service::Response r = svc.handle_line("TPCH 6 vhdl");
+          if (!r.ok() || r.payload != golden.vhdl_text) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_EQ(health_field(svc, "answers_cached"), 1);
 }
 
 }  // namespace
