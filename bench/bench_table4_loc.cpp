@@ -7,11 +7,15 @@
 // paper reports (raw SQL, LoCq, LoCa, LoCvhdl, Rq = VHDL/LoCq,
 // Ra = VHDL/LoCa). Paper reference values are printed alongside.
 //
-// Shape criteria (absolute numbers depend on the VHDL backend):
-//   - Rq >> 10 for every query; Q19 generates the most VHDL, Q6 the least;
-//   - the non-sugared Q1 needs noticeably more Tydi-lang LoC than the
-//     sugared Q1 while producing the same VHDL.
+// Shape criteria (absolute numbers depend on the VHDL backend), each a
+// check that makes the run exit non-zero when it fails:
+//   - every query compiles;
+//   - Q19 generates the most VHDL, Q6 the least;
+//   - the non-sugared Q1 needs more Tydi-lang LoC than the sugared Q1
+//     while producing the same amount of VHDL.
+#include <algorithm>
 #include <iostream>
+#include <limits>
 #include <map>
 
 #include "src/stdlib/stdlib.hpp"
@@ -59,8 +63,11 @@ int main() {
   std::size_t q6_vhdl = 0;
   std::size_t q19_vhdl = 0;
   std::size_t max_vhdl = 0;
+  std::size_t min_vhdl = std::numeric_limits<std::size_t>::max();
   std::size_t q1_loc = 0;
+  std::size_t q1_vhdl = 0;
   std::size_t q1_nosugar_loc = 0;
+  std::size_t q1_nosugar_vhdl = 0;
 
   for (const auto& row : rows) {
     all_ok = all_ok && row.compiled_ok;
@@ -78,22 +85,32 @@ int main() {
                    : "-"});
     if (row.query == "TPC-H 6") q6_vhdl = row.vhdl_loc;
     if (row.query == "TPC-H 19") q19_vhdl = row.vhdl_loc;
-    if (row.query == "TPC-H 1") q1_loc = row.query_loc;
+    if (row.query == "TPC-H 1") {
+      q1_loc = row.query_loc;
+      q1_vhdl = row.vhdl_loc;
+    }
     if (row.query == "TPC-H 1 (without sugaring)") {
       q1_nosugar_loc = row.query_loc;
+      q1_nosugar_vhdl = row.vhdl_loc;
     }
     max_vhdl = std::max(max_vhdl, row.vhdl_loc);
+    min_vhdl = std::min(min_vhdl, row.vhdl_loc);
   }
   std::cout << table.render() << "\n";
 
+  const bool most_ok = q19_vhdl == max_vhdl;
+  const bool least_ok = q6_vhdl == min_vhdl;
+  const bool sugar_ok =
+      q1_nosugar_loc > q1_loc && q1_nosugar_vhdl == q1_vhdl;
   std::cout << "shape checks:\n";
   std::cout << "  all queries compiled: " << (all_ok ? "yes" : "NO") << "\n";
-  std::cout << "  Q19 generates the most VHDL: "
-            << (q19_vhdl == max_vhdl ? "yes" : "NO") << "\n";
-  std::cout << "  Q6 generates the least VHDL: " << q6_vhdl
-            << " (paper: also smallest)\n";
-  std::cout << "  non-sugared Q1 costs more source ("
-            << q1_nosugar_loc << " vs " << q1_loc << " LoC): "
-            << (q1_nosugar_loc > q1_loc ? "yes" : "NO") << "\n";
-  return all_ok ? 0 : 1;
+  std::cout << "  Q19 generates the most VHDL (" << q19_vhdl
+            << " lines): " << (most_ok ? "yes" : "NO") << "\n";
+  std::cout << "  Q6 generates the least VHDL (" << q6_vhdl
+            << " lines): " << (least_ok ? "yes" : "NO") << "\n";
+  std::cout << "  non-sugared Q1 costs more source (" << q1_nosugar_loc
+            << " vs " << q1_loc << " LoC) for the same VHDL ("
+            << q1_nosugar_vhdl << " vs " << q1_vhdl
+            << " lines): " << (sugar_ok ? "yes" : "NO") << "\n";
+  return all_ok && most_ok && least_ok && sugar_ok ? 0 : 1;
 }

@@ -180,30 +180,16 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   obs::Span compile_span("compile");
   compile_span.arg("top", options.top);
 
-  // Per-request guard rails: the wall-clock budget and the external cancel
-  // poll are checked between phases (a phase is never interrupted
-  // mid-flight). An exceeded budget classifies as kAborted via the
-  // "watchdog" phase tag — the same taxonomy the sim watchdog uses.
-  const auto start = std::chrono::steady_clock::now();
+  // Per-request guard rails: the stop token is polled between phases (a
+  // phase is never interrupted mid-flight). A stop classifies as kAborted
+  // via the "watchdog" phase tag — the same taxonomy the sim guard uses.
   auto aborted = [&]() -> bool {
-    if (options.cancelled && options.cancelled()) {
-      result.diags->error("watchdog", "compile cancelled");
-      return true;
-    }
-    if (options.budget_ms > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (elapsed > options.budget_ms) {
-        result.diags->error(
-            "watchdog", "compile budget of " +
-                            std::to_string(options.budget_ms) +
-                            " ms exceeded");
-        return true;
-      }
-    }
-    return false;
+    if (options.stop == nullptr || !options.stop->poll()) return false;
+    result.diags->error("watchdog",
+                        options.stop->cause() == support::StopCause::kDeadline
+                            ? "compile budget exceeded"
+                            : "compile cancelled");
+    return true;
   };
 
   auto program = std::make_shared<elab::Program>();

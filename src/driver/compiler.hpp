@@ -10,7 +10,6 @@
 // bench.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -25,6 +24,7 @@
 #include "src/support/diagnostic.hpp"
 #include "src/support/source.hpp"
 #include "src/support/status.hpp"
+#include "src/support/stop.hpp"
 #include "src/vhdl/vhdl.hpp"
 
 namespace tydi::driver {
@@ -72,16 +72,13 @@ struct CompileOptions {
   bool emit_ir = true;
   bool emit_vhdl = true;
   vhdl::VhdlOptions vhdl;
-  /// Wall-clock budget for this compile in ms (0 = unlimited). Polled at
-  /// phase boundaries — an exceeded budget stops the pipeline between
+  /// Optional stop token (null = never stopped), polled at phase
+  /// boundaries: a stop or a passed deadline ends the pipeline between
   /// phases and classifies the result as kAborted (phase "watchdog"). This
-  /// is the `tydid` per-request timeout hook; it cannot interrupt a phase
-  /// mid-flight (phases are short and bounded in practice).
-  double budget_ms = 0.0;
-  /// Optional external cancellation poll (e.g. a service watchdog's stop
-  /// flag), checked at the same phase boundaries as `budget_ms`. Must be
-  /// callable from the compiling thread; empty = never cancelled.
-  std::function<bool()> cancelled;
+  /// is the `tydid` per-request budget and cancellation hook; it cannot
+  /// interrupt a phase mid-flight (phases are short and bounded in
+  /// practice). The token must outlive the compile.
+  const support::StopToken* stop = nullptr;
 };
 
 /// Wall-clock per pipeline phase. Stored as an ordered vector of

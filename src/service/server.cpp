@@ -1,6 +1,7 @@
 #include "src/service/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -29,18 +30,38 @@ Status io_error(const std::string& what) {
                        what + ": " + std::strerror(errno));
 }
 
-/// Writes the whole buffer, retrying on EINTR / short writes.
-/// MSG_NOSIGNAL: a peer that hung up yields EPIPE (false) instead of a
-/// process-killing SIGPIPE — replying to a dead client is an expected
-/// event for a daemon, not a crash.
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+/// Writes `parts` back to back with one sendmsg per attempt, retrying on
+/// EINTR and resuming a short write mid-part, so a payload (up to hundreds
+/// of KB) is never copied into one frame buffer. MSG_NOSIGNAL: a peer that
+/// hung up yields EPIPE (false) instead of a process-killing SIGPIPE —
+/// replying to a dead client is an expected event for a daemon, not a
+/// crash.
+template <std::size_t N>
+bool write_all(int fd, const std::string_view (&parts)[N]) {
+  iovec iov[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    iov[i].iov_base = const_cast<char*>(parts[i].data());
+    iov[i].iov_len = parts[i].size();
+  }
+  std::size_t first = 0;
+  while (first < N) {
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = N - first;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    data.remove_prefix(static_cast<std::size_t>(n));
+    auto sent = static_cast<std::size_t>(n);
+    while (first < N && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
+    }
+    if (sent > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
   return true;
 }
@@ -218,7 +239,8 @@ void serve_connection(int fd, CompileService& service,
       }
     }
     Response response = pending.take();
-    if (!write_all(fd, response.serialize())) return;
+    const std::string header = response.header() + '\n';
+    if (!write_all(fd, {header, response.payload, "\n"})) return;
     if (response.shutdown) {
       // Stop the accept loop: mark shutdown, then poke the listener awake
       // by shutting it down (accept() returns with an error immediately).
@@ -302,7 +324,7 @@ Status serve(CompileService& service, const ServerConfig& config) {
       const Response shed = service.shed_response(
           "connection limit (" + std::to_string(config.max_connections) +
           ") reached");
-      write_all(fd, shed.serialize());
+      write_all(fd, {shed.serialize()});
       ::close(fd);
       continue;
     }
@@ -339,7 +361,7 @@ Status request(const std::string& socket_path, const std::string& line,
   // ever reading the request line. Record the error but still try to read
   // a frame; report the write failure only if none arrives.
   Status write_status = Status::ok();
-  if (!write_all(fd, line + "\n")) {
+  if (!write_all(fd, {line, "\n"})) {
     write_status = io_error("write " + socket_path);
   }
   // Read until the full frame is parseable (header tells us the payload

@@ -27,9 +27,7 @@ double ms_since(Clock::time_point t) {
 
 }  // namespace
 
-/// Why an executing/queued request was cancelled (first cause wins — the
-/// response message and the metrics tell disconnects apart from drains).
-enum class CancelReason : std::uint8_t { kNone = 0, kClientGone, kDrain };
+using support::StopCause;
 
 /// Shared state of one submitted request: the completion slot the
 /// transport waits on, plus everything a worker needs to execute it.
@@ -40,10 +38,14 @@ struct PendingRequest::State {
   bool done = false;
   Response response;
 
-  // Cancellation: polled by the executing compile at phase boundaries and
-  // by SLEEP every few ms; checked by workers before starting.
-  std::atomic<std::uint8_t> cancel{
-      static_cast<std::uint8_t>(CancelReason::kNone)};
+  /// The request's stop token. DEADLINE_MS is its deadline from
+  /// admission; a compile tightens it by the request's budget; the
+  /// transport's disconnect (kCancelled) and the drain (kDrain) stop it.
+  /// Polled by the executing compile at phase boundaries and by SLEEP
+  /// every few ms; checked by workers before starting. The first cause
+  /// wins, so the response message and the metrics tell disconnects apart
+  /// from drains and deadlines.
+  support::StopToken stop;
 
   // Immutable after admission.
   /// Handler of the request's queued verb (resolved by submit) and the
@@ -53,32 +55,9 @@ struct PendingRequest::State {
   RequestEnvelope envelope;
   std::uint64_t request_id = 0;
   Clock::time_point admitted;
-  /// admitted + envelope.deadline_ms; only meaningful with has_deadline.
-  Clock::time_point deadline;
-  bool has_deadline = false;
   /// Set by compile_and_journal: "hit" (answer table) or "compiled"; the
   /// service.request span's `answer` arg.
   std::string_view answer;
-
-  [[nodiscard]] CancelReason cancel_reason() const {
-    return static_cast<CancelReason>(cancel.load(std::memory_order_relaxed));
-  }
-  [[nodiscard]] bool cancelled() const {
-    return cancel_reason() != CancelReason::kNone;
-  }
-  void request_cancel(CancelReason reason) {
-    std::uint8_t expected = static_cast<std::uint8_t>(CancelReason::kNone);
-    cancel.compare_exchange_strong(expected,
-                                   static_cast<std::uint8_t>(reason),
-                                   std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool deadline_expired() const {
-    return has_deadline && Clock::now() > deadline;
-  }
-  [[nodiscard]] double deadline_remaining_ms() const {
-    return std::chrono::duration<double, std::milli>(deadline - Clock::now())
-        .count();
-  }
 };
 
 bool PendingRequest::done() const {
@@ -103,7 +82,7 @@ Response PendingRequest::take() {
 }
 
 void PendingRequest::cancel() {
-  if (state_) state_->request_cancel(CancelReason::kClientGone);
+  if (state_) state_->stop.request_stop(StopCause::kCancelled);
 }
 
 std::string Response::header() const {
@@ -277,8 +256,8 @@ void CompileService::cancel_until_idle() {
       std::lock_guard lock(active_mu_);
       active_empty = active_.empty();
       for (const auto& state : active_) {
-        if (!state->cancelled()) ++cancelled_metric;
-        state->request_cancel(CancelReason::kDrain);
+        if (!state->stop.stop_requested()) ++cancelled_metric;
+        state->stop.request_stop(StopCause::kDrain);
       }
     }
     if (active_empty && queue_.depth() == 0) return;
@@ -518,14 +497,7 @@ PendingRequest CompileService::submit(const std::string& line) {
     return pending;
   }
   if (state->envelope.attempt > 1) ++retried_metric;
-  if (state->envelope.deadline_ms > 0.0) {
-    state->has_deadline = true;
-    state->deadline =
-        state->admitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                state->envelope.deadline_ms));
-  }
+  state->stop.tighten_deadline(state->envelope.deadline_ms);
   std::istringstream args(state->envelope.rest);
   std::string name;
   if (!(args >> name)) {
@@ -580,6 +552,7 @@ Response CompileService::handle_line(const std::string& line) {
 }
 
 void CompileService::begin_drain() {
+  replay_stop_.request_stop(StopCause::kDrain);
   const bool was_draining = draining_.exchange(true);
   if (!was_draining) {
     obs::MetricsRegistry::global().gauge("tydi.service.draining").set(1.0);
@@ -652,22 +625,20 @@ void CompileService::replay_main() {
 
   const std::vector<warmup::JournalEntry> entries =
       journal_->recovered_entries();
-  warmup::ReplayOptions options;
-  options.budget_ms = config_.replay_budget_ms;
+  replay_stop_.tighten_deadline(config_.replay_budget_ms);
   double elapsed_ms = 0.0;
   {
     obs::Span span("service.replay");
     span.arg("entries", entries.size());
     elapsed_ms = warmup::replay_entries(
-        entries, options,
+        entries, replay_stop_,
         [this](const std::string& request) {
           // Through the normal admission path, as batch work: live
           // interactive traffic preempts replay in the queue, and the
           // same shedding that protects clients protects the restart.
           return handle_line("PRIO batch " + request).status;
         },
-        replay_stats_,
-        [this] { return draining_.load(std::memory_order_acquire); });
+        replay_stats_);
   }
   replayed_metric += replay_stats_.replayed.get();
   stale_metric += replay_stats_.skipped_stale.get();
@@ -747,13 +718,15 @@ void CompileService::execute(
 
   // A dead client or an expired deadline means nobody is waiting: shed /
   // abort without executing.
-  if (state->cancel_reason() == CancelReason::kClientGone) {
+  (void)state->stop.poll();  // raises kDeadline if it passed in the queue
+  const StopCause queued_cause = state->stop.cause();
+  if (queued_cause == StopCause::kCancelled) {
     ++disconnect_metric;
     finish(state, error_response(StatusCode::kAborted,
                                  "client disconnected before execution"));
     return;
   }
-  if (state->deadline_expired()) {
+  if (queued_cause == StopCause::kDeadline) {
     ++expired_metric;
     Response r = shed_response(
         "deadline expired after " +
@@ -786,7 +759,7 @@ void CompileService::execute(
   const auto sample = static_cast<std::uint64_t>(exec_ms * 1000.0);
   avg_exec_us_.store(prev - prev / 4 + sample / 4,
                      std::memory_order_relaxed);
-  if (state->cancel_reason() == CancelReason::kClientGone &&
+  if (state->stop.cause() == StopCause::kCancelled &&
       response.status.code() == StatusCode::kAborted) {
     ++disconnect_metric;
   }
@@ -797,43 +770,29 @@ void CompileService::execute(
   finish(state, std::move(response));
 }
 
-double CompileService::effective_budget_ms(
-    double requested_ms, const PendingRequest::State& state) const {
-  double budget = requested_ms > 0.0 ? requested_ms
-                                     : config_.default_budget_ms;
+double CompileService::clamped_budget_ms(double requested_ms) const {
+  const double budget = requested_ms > 0.0 ? requested_ms
+                                           : config_.default_budget_ms;
   if (config_.max_budget_ms > 0.0 &&
       (budget <= 0.0 || budget > config_.max_budget_ms)) {
-    budget = config_.max_budget_ms;
-  }
-  if (state.has_deadline) {
-    // Never run past the caller's deadline: fold the remaining wait into
-    // the budget (floor of 1ms keeps the budget armed rather than treating
-    // ~0 as "unlimited").
-    const double remaining = std::max(1.0, state.deadline_remaining_ms());
-    budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
+    return config_.max_budget_ms;
   }
   return budget;
 }
 
 Response CompileService::sleep_request(double ms,
                                        PendingRequest::State& state) {
-  const double budget = effective_budget_ms(0.0, state);
+  state.stop.tighten_deadline(clamped_budget_ms(0.0));
   const Clock::time_point start = Clock::now();
   const std::uint64_t seq =
       exec_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (;;) {
-    const double elapsed = ms_since(start);
-    if (elapsed >= ms) break;
-    if (state.cancelled()) {
-      return error_response(
-          StatusCode::kAborted,
-          state.cancel_reason() == CancelReason::kClientGone
-              ? "client disconnected; sleep aborted"
-              : "drain deadline; sleep aborted");
-    }
-    if (budget > 0.0 && elapsed >= budget) {
-      return error_response(StatusCode::kAborted,
-                            "budget/deadline exceeded; sleep aborted");
+  while (ms_since(start) < ms) {
+    if (state.stop.poll()) {
+      const StopCause cause = state.stop.cause();
+      std::string why = "budget/deadline exceeded";
+      if (cause == StopCause::kCancelled) why = "client disconnected";
+      if (cause == StopCause::kDrain) why = "drain deadline";
+      return error_response(StatusCode::kAborted, why + "; sleep aborted");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -880,12 +839,13 @@ Response CompileService::compile_and_journal(
   ++misses_metric;
   state.answer = "compiled";
 
-  // The driver checks the budget (request budget min'd with the remaining
-  // deadline) and the cancel flag at every phase boundary, and classifies
-  // either as kAborted (phase "watchdog"). The cancel flag is the
-  // transport's disconnect / the drain, so compiles for dead peers abort.
-  options.budget_ms = effective_budget_ms(budget_ms, state);
-  options.cancelled = [&state] { return state.cancelled(); };
+  // Only a miss spends the request's budget: it tightens the token's
+  // deadline (already the DEADLINE_MS one, if any) right before compiling.
+  // The driver polls the token at every phase boundary and classifies a
+  // stop as kAborted (phase "watchdog"); the token is also the transport's
+  // disconnect and the drain, so compiles for dead peers abort.
+  state.stop.tighten_deadline(clamped_budget_ms(budget_ms));
+  options.stop = &state.stop;
   driver::CompileResult result = session_.compile(sources, options);
 
   Response r;
@@ -893,7 +853,7 @@ Response CompileService::compile_and_journal(
   if (!result.success()) {
     r.payload = result.report();
     if (r.status.code() == StatusCode::kAborted &&
-        state.cancel_reason() == CancelReason::kClientGone) {
+        state.stop.cause() == StopCause::kCancelled) {
       r.status = Status::error(StatusCode::kAborted, "watchdog",
                                "client disconnected; compile aborted");
       r.payload = r.status.render() + "\n";

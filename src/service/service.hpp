@@ -33,11 +33,11 @@
 //
 // Envelope tokens may precede any verb, in any order:
 //   PRIO        queue class (default: interactive for FILE/TPCH/SLEEP)
-//   DEADLINE_MS the caller stops waiting after this many ms. Folded into
-//               the per-request compile budget, and a request whose
-//               deadline expires while still queued is shed (kUnavailable)
-//               instead of executed — work is never done for a caller
-//               that already gave up.
+//   DEADLINE_MS the caller stops waiting after this many ms. The deadline
+//               of the request's stop token, so it also bounds the
+//               compile, and a request whose deadline expires while
+//               still queued is shed (kUnavailable) instead of executed —
+//               work is never done for a caller that already gave up.
 //   ATTEMPT     1-based retry attempt (telemetry only: attempts > 1 count
 //               into tydi.service.retried_requests).
 //
@@ -79,13 +79,14 @@
 // capacity frees up, honored by the retrying client (support::Retry).
 // Failed compiles carry the rendered diagnostics as payload.
 //
-// Per-request timeouts and cancellation reach the driver only through
-// driver::CompileOptions: `budget_ms` carries the request's wall-clock
-// budget (min'd with the remaining DEADLINE_MS) and `cancelled` polls the
-// per-request cancel flag the transport trips when the client disconnects
-// (or the drain deadline passes). The driver checks both at every phase
-// boundary and classifies either as kAborted (phase "watchdog"), so work
-// for dead peers aborts instead of running to completion.
+// Per-request timeouts and cancellation are one support::StopToken per
+// request, handed to the driver as driver::CompileOptions::stop. Its
+// deadline is DEADLINE_MS from admission, tightened by the request's
+// budget when an answer-table miss starts compiling; the transport stops
+// it when the client disconnects, and the drain when its deadline passes.
+// The driver polls it at every phase boundary and classifies a stop as
+// kAborted (phase "watchdog"), so work for dead peers aborts instead of
+// running to completion.
 //
 // Answer table: a compile's output is a pure function of its sources and
 // options, and the journal key (the normalized request line, plus the
@@ -131,6 +132,7 @@
 #include "src/service/warmup.hpp"
 #include "src/support/counters.hpp"
 #include "src/support/status.hpp"
+#include "src/support/stop.hpp"
 
 namespace tydi::service {
 
@@ -227,10 +229,10 @@ class PendingRequest {
   /// Blocks until the response is ready and moves it out: the one
   /// consumer calls this once (a payload can be hundreds of KB).
   [[nodiscard]] Response take();
-  /// Trips the request's cancellation hook (the transport calls this when
-  /// the client disconnects): a still-queued request completes kAborted
-  /// without executing; an executing compile observes the flag at its next
-  /// cancellation poll and aborts. Idempotent.
+  /// Stops the request's token with kCancelled (the transport calls this
+  /// when the client disconnects): a still-queued request completes
+  /// kAborted without executing; an executing compile observes the token
+  /// at its next poll and aborts. Idempotent.
   void cancel();
 
  private:
@@ -337,10 +339,9 @@ class CompileService {
       PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,
                                        PendingRequest::State& state);
-  /// Effective wall-clock budget: the request's (or default) budget,
-  /// clamped by max_budget_ms, min'd with the remaining DEADLINE_MS.
-  [[nodiscard]] double effective_budget_ms(
-      double requested_ms, const PendingRequest::State& state) const;
+  /// A request's budget in ms: `requested_ms`, else default_budget_ms,
+  /// clamped by max_budget_ms (0 = unlimited).
+  [[nodiscard]] double clamped_budget_ms(double requested_ms) const;
   [[nodiscard]] double retry_after_hint_ms() const;
   void finish(const std::shared_ptr<PendingRequest::State>& state,
               Response response);
@@ -410,6 +411,9 @@ class CompileService {
   /// a clean boot) — HEALTH's journal_error field.
   std::string journal_boot_error_;
   warmup::ReplayStats replay_stats_;
+  /// Startup replay's stop token: replay_budget_ms is its deadline and
+  /// begin_drain stops it.
+  support::StopToken replay_stop_;
   std::atomic<bool> replay_done_{true};
   std::atomic<bool> replay_started_{false};
   std::thread replay_thread_;

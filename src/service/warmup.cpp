@@ -273,21 +273,13 @@ void CompileJournal::record_error(const Status& status) {
 }
 
 double replay_entries(
-    const std::vector<JournalEntry>& entries, const ReplayOptions& options,
+    const std::vector<JournalEntry>& entries, const support::StopToken& stop,
     const std::function<Status(const std::string& line)>& submit,
-    ReplayStats& stats, const std::function<bool()>& stop) {
+    ReplayStats& stats) {
   const Clock::time_point start = Clock::now();
-  auto elapsed_ms = [&start] {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
   std::size_t attempted = 0;
   for (const JournalEntry& entry : entries) {
-    if (stop && stop()) {
-      stats.budget_expired += entries.size() - attempted;
-      break;
-    }
-    if (options.budget_ms > 0.0 && elapsed_ms() >= options.budget_ms) {
+    if (stop.poll()) {
       stats.budget_expired += entries.size() - attempted;
       break;
     }
@@ -307,7 +299,8 @@ double replay_entries(
       ++stats.failed;
     }
   }
-  return elapsed_ms();
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
 }
 
 }  // namespace tydi::service::warmup

@@ -45,6 +45,7 @@
 #include "src/support/counters.hpp"
 #include "src/support/journal.hpp"
 #include "src/support/status.hpp"
+#include "src/support/stop.hpp"
 
 namespace tydi::service::warmup {
 
@@ -139,14 +140,6 @@ class CompileJournal {
   JournalStats stats_;
 };
 
-/// Replay pacing knobs.
-struct ReplayOptions {
-  /// Wall-clock budget for the whole replay loop in ms (0 = unlimited).
-  /// Entries not attempted before it expires are counted, not compiled —
-  /// a huge journal must not hold a restart hostage.
-  double budget_ms = 0.0;
-};
-
 /// Outcome of one replay run (all relaxed atomics: HEALTH reads them live
 /// while the replay thread is still working).
 struct ReplayStats {
@@ -154,18 +147,20 @@ struct ReplayStats {
   support::RelaxedCounter skipped_stale;  ///< stamps no longer match
   support::RelaxedCounter shed;           ///< admission control said no
   support::RelaxedCounter failed;         ///< compiled with an error
-  support::RelaxedCounter budget_expired; ///< not attempted: budget ran out
+  support::RelaxedCounter budget_expired; ///< not attempted: stopped first
 };
 
 /// Replays `entries` through `submit` (one normalized request line per
 /// call; the caller wraps it in its own envelope — the service uses
 /// "PRIO batch" so live interactive traffic always wins). `submit` returns
 /// the request's classification; kUnavailable counts as shed, any other
-/// error as failed. `stop` (optional) is polled between entries so a drain
-/// aborts replay promptly. Returns wall-clock ms spent.
+/// error as failed. `stop` is polled before every entry: its deadline is
+/// the replay budget (a huge journal must not hold a restart hostage) and
+/// a drain stops it. Entries not attempted once it stops are counted as
+/// budget_expired, not compiled. Returns wall-clock ms spent.
 [[nodiscard]] double replay_entries(
-    const std::vector<JournalEntry>& entries, const ReplayOptions& options,
+    const std::vector<JournalEntry>& entries, const support::StopToken& stop,
     const std::function<support::Status(const std::string& line)>& submit,
-    ReplayStats& stats, const std::function<bool()>& stop = nullptr);
+    ReplayStats& stats);
 
 }  // namespace tydi::service::warmup

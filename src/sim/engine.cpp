@@ -427,8 +427,8 @@ SimResult Engine::run(const SimOptions& options) {
   if (!build_sim_graph(design_, options, diags_, graph)) return SimResult{};
 
   // Always route through the sharded driver: its single-shard path is the
-  // plain single-queue loop, and keeping one entry point means the
-  // watchdog and the event/wall-clock/RSS budgets guard every run shape.
+  // plain single-queue loop, and keeping one entry point means the run
+  // guard's event/wall-clock/RSS budgets cover every run shape.
   return shard::run_sharded(graph, options, diags_);
 }
 

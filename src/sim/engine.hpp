@@ -119,9 +119,10 @@ struct SimOptions {
   /// by default; see FaultPlan). CLI: --sim-fault-seed / --sim-fault-plan.
   FaultPlan fault;
   /// No-progress watchdog: abort the run when the global processed-event
-  /// counter has not moved for this many wall-clock ms. <= 0 disables.
-  /// Catches cross-shard livelocks (e.g. lost/withheld acks) that the
-  /// deadlock detector cannot see because the queues never quiesce.
+  /// counter has not moved for this many wall-clock ms, checked at every
+  /// shard round start. <= 0 disables. Catches cross-shard livelocks (e.g.
+  /// lost/withheld acks) that the deadlock detector cannot see because the
+  /// queues never quiesce; a single-shard run cannot livelock.
   double watchdog_timeout_ms = 10000.0;
   /// Total wall-clock budget in ms; the run aborts with partial results
   /// when exceeded. <= 0 disables.
@@ -129,8 +130,9 @@ struct SimOptions {
   /// Global processed-event budget; the run aborts with partial results
   /// when exceeded. 0 disables.
   std::uint64_t max_events = 0;
-  /// Resident-set budget in MiB (current RSS, /proc/self/statm); the run
-  /// aborts when exceeded. 0 disables.
+  /// Resident-set budget in MiB (current RSS, /proc/self/statm, read at
+  /// the first guard sync and every 4096 events after); the run aborts
+  /// when exceeded. 0 disables.
   std::uint64_t rss_budget_mb = 0;
 };
 

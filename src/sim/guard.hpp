@@ -1,120 +1,68 @@
-// Run guard + watchdog for the simulation runtime.
+// Run guard for the simulation runtime.
 //
-// A `RunGuard` is the single stop-signal shared by every shard thread, the
-// barrier, and the watchdog: one atomic flag plus the cause that raised it.
-// Kernels contribute to a global processed-event counter and poll the flag
-// every few hundred events, so a stop request (budget exceeded, watchdog
-// fired) drains the run within microseconds instead of at the next barrier.
-//
-// The `Watchdog` is a monitor thread that polls the guard:
-//  - *no-progress*: the global event counter has not moved for
-//    `watchdog_timeout_ms`. Barrier rounds alone do NOT count as progress —
-//    the canonical livelock (withheld acks in credit mode) spins rounds
-//    forever while processing zero events, and a round-based monitor would
-//    never fire;
-//  - *wall-clock budget*: total run time exceeded `wall_clock_budget_ms`;
-//  - *RSS budget*: resident set size exceeded `rss_budget_mb` (the live
-//    figure from support::current_rss_mb, /proc/self/statm).
-//
-// When any trigger fires the watchdog calls `request_stop(cause)`; shard
-// threads and the abortable barrier observe the flag, unwind cooperatively,
-// and the runtime converts the partial state into SimResult::aborted with
-// per-shard forensics. The watchdog never kills threads.
+// A `RunGuard` is the single stop signal shared by every shard thread and
+// the barrier: a support::StopToken plus the global processed-event
+// counter. No thread watches a run from outside; each trigger is checked
+// where its evidence already is:
+//  - max events, the wall-clock budget (the token's deadline) and the RSS
+//    budget (support::current_rss_mb, at the first sync and then once per
+//    kRssStrideEvents): in the kernel's 256-event guard sync (`sync`);
+//  - no progress (the global event counter not moving for
+//    `watchdog_timeout_ms`; barrier rounds alone are not progress): in the
+//    shard round loop (shard/runtime.cpp, begin_round), with the clock
+//    read the barrier arrival already takes.
+// A run with no budget set reads no clock and makes no syscall per event.
+// Threads unwind cooperatively and the runtime converts the partial state
+// into SimResult::aborted with per-shard forensics.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <thread>
+#include <string_view>
+
+#include "src/support/stop.hpp"
 
 namespace tydi::sim {
 
-/// Why a run was asked to stop. kNone means the run completed on its own.
-enum class StopCause : std::uint8_t {
-  kNone = 0,
-  kWatchdogNoProgress,
-  kMaxEvents,
-  kWallClock,
-  kRss,
-};
+using support::StopCause;
 
+/// The SimResult::abort_reason of each cause ("watchdog-no-progress",
+/// "max-events-budget", "wall-clock-budget", "rss-budget").
 [[nodiscard]] std::string_view to_string(StopCause cause);
 
-/// Shared stop-signal for one simulation run. All methods are thread-safe.
+/// Shared stop signal of one simulation run. All methods are thread-safe.
 class RunGuard {
  public:
-  /// Adds processed events to the global counter and returns the new total.
-  /// Relaxed: the counter is monotonic telemetry, not a synchronization
-  /// point.
-  std::uint64_t add_events(std::uint64_t n) {
-    return events_.fetch_add(n, std::memory_order_relaxed) + n;
+  /// Events between two RSS reads while an RSS budget is set.
+  static constexpr std::uint64_t kRssStrideEvents = 4096;
+
+  /// `max_events` / `rss_budget_mb` 0 and `wall_clock_budget_ms` <= 0
+  /// disable the respective budget. The wall clock starts now.
+  RunGuard(std::uint64_t max_events, double wall_clock_budget_ms,
+           std::uint64_t rss_budget_mb)
+      : max_events_(max_events), rss_budget_mb_(rss_budget_mb) {
+    token_.tighten_deadline(wall_clock_budget_ms);
   }
 
+  /// Adds `n` processed events to the global counter, checks the event,
+  /// wall-clock and RSS budgets, and returns true once the run is stopped.
+  bool sync(std::uint64_t n);
+
+  /// Global processed events. Relaxed: the counter is monotonic telemetry,
+  /// not a synchronization point.
   [[nodiscard]] std::uint64_t events() const {
     return events_.load(std::memory_order_relaxed);
   }
 
-  /// First caller wins; later causes are ignored so forensics report the
-  /// original trigger.
-  void request_stop(StopCause cause) {
-    StopCause expected = StopCause::kNone;
-    cause_.compare_exchange_strong(expected, cause,
-                                   std::memory_order_relaxed);
-    stop_.store(true, std::memory_order_release);
-  }
-
-  [[nodiscard]] bool stop_requested() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] StopCause cause() const {
-    return cause_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] support::StopToken& token() { return token_; }
 
  private:
-  std::atomic<bool> stop_{false};
-  std::atomic<StopCause> cause_{StopCause::kNone};
-  std::atomic<std::uint64_t> events_{0};
-};
-
-/// Monitor thread enforcing the no-progress timeout and the run budgets.
-/// Construct after the guard, destroy (or stop()) before reading results.
-class Watchdog {
- public:
-  struct Config {
-    /// No-progress window in ms; <= 0 disables the no-progress trigger.
-    double timeout_ms = 0.0;
-    /// Total wall-clock budget in ms; <= 0 disables.
-    double wall_clock_budget_ms = 0.0;
-    /// Resident-set budget in MiB; 0 disables.
-    std::uint64_t rss_budget_mb = 0;
-
-    [[nodiscard]] bool enabled() const {
-      return timeout_ms > 0.0 || wall_clock_budget_ms > 0.0 ||
-             rss_budget_mb > 0;
-    }
-  };
-
-  Watchdog(RunGuard& guard, Config config);
-  ~Watchdog() { stop(); }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Joins the monitor thread. Idempotent.
-  void stop();
-
- private:
-  void run();
-
-  RunGuard& guard_;
-  Config config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
+  support::StopToken token_;
+  const std::uint64_t max_events_;
+  const std::uint64_t rss_budget_mb_;
+  /// Own cache line: every kernel writes it each sync, while barrier
+  /// waiters spin-read the token.
+  alignas(64) std::atomic<std::uint64_t> events_{0};
 };
 
 }  // namespace tydi::sim

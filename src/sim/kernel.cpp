@@ -62,19 +62,17 @@ void Kernel::seed() {
 }
 
 void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
-  // Guard sync granularity: one relaxed fetch_add + one acquire load every
-  // 256 events keeps the stop latency in the microseconds without touching
-  // shared cache lines per event.
+  // Guard sync granularity: one relaxed fetch_add + two loads every 256
+  // events keeps the stop latency in the microseconds without touching
+  // shared cache lines per event (the budgets' clock and RSS reads happen
+  // there too, and only when a budget is set).
   constexpr std::uint64_t kGuardStride = 256;
   std::uint64_t unsynced = 0;
   auto sync_guard = [&] {
     if (guard_ == nullptr || unsynced == 0) return false;
-    std::uint64_t total = guard_->add_events(unsynced);
+    const bool stopped = guard_->sync(unsynced);
     unsynced = 0;
-    if (max_events_ != 0 && total >= max_events_) {
-      guard_->request_stop(StopCause::kMaxEvents);
-    }
-    return guard_->stop_requested();
+    return stopped;
   };
   while (!queue_.empty()) {
     const Event& head = queue_.top();

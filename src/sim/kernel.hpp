@@ -178,14 +178,10 @@ class Kernel {
   [[nodiscard]] std::int64_t unacked_total() const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Attaches the run's stop-signal. The event loop contributes to the
-  /// guard's global event counter and polls its stop flag every few hundred
-  /// events; `max_events` > 0 additionally trips the kMaxEvents budget when
-  /// the global counter crosses it.
-  void set_guard(RunGuard* guard, std::uint64_t max_events) {
-    guard_ = guard;
-    max_events_ = max_events;
-  }
+  /// Attaches the run's stop signal. The event loop syncs its processed
+  /// events into the guard every few hundred events (RunGuard::sync checks
+  /// the run budgets there) and stops once the guard's token has.
+  void set_guard(RunGuard* guard) { guard_ = guard; }
   /// Attaches this shard's fault oracle (withheld credit-flush site).
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
@@ -269,7 +265,6 @@ class Kernel {
   const int shard_;
   CrossRouter* router_;
   RunGuard* guard_ = nullptr;
-  std::uint64_t max_events_ = 0;
   FaultInjector* fault_ = nullptr;
   bool trace_enabled_ = true;
   /// Sharded runs defer warning emission to the deterministic post-join

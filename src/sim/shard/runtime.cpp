@@ -18,24 +18,26 @@ namespace tydi::sim::shard {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Sense-reversing barrier: bounded spin, then yield (stays correct and
 /// non-pathological when shards exceed hardware cores). A phase transition
 /// publishes with release/acquire ordering, so everything a thread wrote
 /// before arriving is visible to every thread after leaving — the mailbox
 /// cells and reduction slots need no locks of their own.
 ///
-/// The barrier is *abortable*: once the run guard's stop flag is raised,
-/// every wait (current and future) returns immediately, so a watchdog abort
-/// cannot strand threads waiting for a partner that already unwound. After
-/// the flag is up, threads must not rely on barrier separation — they only
-/// ever check the flag and exit their round loops.
+/// The barrier is *abortable*: once the run's stop token is raised, every
+/// wait (current and future) returns immediately, so an abort cannot
+/// strand threads waiting for a partner that already unwound. After the
+/// token is up, threads must not rely on barrier separation — they only
+/// ever check the token and exit their round loops.
 class SpinBarrier {
  public:
-  SpinBarrier(int parties, const RunGuard& guard)
-      : parties_(parties), guard_(guard) {}
+  SpinBarrier(int parties, const support::StopToken& stop)
+      : parties_(parties), stop_(stop) {}
 
   void arrive_and_wait() {
-    if (guard_.stop_requested()) return;
+    if (stop_.stop_requested()) return;
     std::uint32_t phase = phase_.load(std::memory_order_acquire);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
       arrived_.store(0, std::memory_order_relaxed);
@@ -45,7 +47,7 @@ class SpinBarrier {
     int spins = 0;
     while (phase_.load(std::memory_order_acquire) == phase) {
       if (++spins > 512) {
-        if (guard_.stop_requested()) return;
+        if (stop_.stop_requested()) return;
         std::this_thread::yield();
       }
     }
@@ -53,7 +55,7 @@ class SpinBarrier {
 
  private:
   const int parties_;
-  const RunGuard& guard_;
+  const support::StopToken& stop_;
   std::atomic<int> arrived_{0};
   std::atomic<std::uint32_t> phase_{0};
 };
@@ -180,16 +182,20 @@ struct RoundState {
   double lookahead_ns;
   double max_time_ns;
   RunGuard& guard;
+  /// No-progress window (SimOptions::watchdog_timeout_ms); <= 0 disables.
+  std::chrono::duration<double, std::milli> no_progress;
   std::atomic<bool> capped{false};
 
-  RoundState(int shards, double lookahead, double max_time, RunGuard& g)
-      : barrier(shards, g),
+  RoundState(int shards, double lookahead, double max_time, RunGuard& g,
+             double no_progress_ms)
+      : barrier(shards, g.token()),
         mail(shards),
         slots(shards),
         obs(shards),
         lookahead_ns(lookahead),
         max_time_ns(max_time),
-        guard(g) {}
+        guard(g),
+        no_progress(no_progress_ms) {}
 };
 
 /// One shard thread's round loop. Both ack policies share the skeleton —
@@ -202,27 +208,49 @@ struct ShardThread {
   Kernel& kernel;
   RoundState& state;
   FaultInjector& inject;
+  /// The global event count this shard last saw move, and when (the
+  /// no-progress check). The sentinel makes the first round record one.
+  std::uint64_t seen_events = ~std::uint64_t{0};
+  Clock::time_point progress_at{};
 
   /// Barrier arrival: the barrier-jitter fault site, then the timed wait.
-  void arrive() {
+  /// Returns the time the wait ended.
+  Clock::time_point arrive() {
     if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
       inject.spin_delay();
     }
     // Two steady_clock reads per wait: the wait itself spins/yields, so the
     // clock cost disappears into it (gated by the sim obs-overhead bench).
-    const auto wait_start = std::chrono::steady_clock::now();
+    const Clock::time_point wait_start = Clock::now();
     state.barrier.arrive_and_wait();
+    const Clock::time_point wait_end = Clock::now();
     state.obs[me].barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(wait_end -
+                                                             wait_start)
             .count();
+    return wait_end;
+  }
+
+  /// Raises kNoProgress once the global event counter has not moved for
+  /// the no-progress window. Every kernel syncs its events into the
+  /// counter before it arrives, so after the barrier the counter holds the
+  /// round's total; shard 0 alone checks it (every shard runs every round).
+  void check_progress(Clock::time_point now) {
+    if (me != 0 || state.no_progress.count() <= 0.0) return;
+    const std::uint64_t events = state.guard.events();
+    if (events != seen_events) {
+      seen_events = events;
+      progress_at = now;
+    } else if (now - progress_at >= state.no_progress) {
+      state.guard.token().request_stop(StopCause::kNoProgress);
+    }
   }
 
   /// Round start: drains inbound mail, publishes this shard's reduction
-  /// slot, and crosses the barrier. False when the run guard stopped the
-  /// run.
+  /// slot, crosses the barrier and checks the no-progress window and the
+  /// wall-clock deadline. False when the run is stopped.
   bool begin_round(bool credit) {
-    if (state.guard.stop_requested()) return false;
+    if (state.guard.token().stop_requested()) return false;
     ++state.obs[me].rounds;
     state.mail.drain_into(me, kernel);
     Slot& slot = state.slots[me];
@@ -233,8 +261,8 @@ struct ShardThread {
     } else {
       slot.ack_bound = kernel.ack_risk_bound();
     }
-    arrive();
-    return !state.guard.stop_requested();
+    check_progress(arrive());
+    return !state.guard.token().poll();
   }
 
   /// False (recording the cutoff) when the reduced next time `t` is past
@@ -267,7 +295,8 @@ struct ShardThread {
 /// AND no ack batch left unflushed. Fault injection can withhold a flush
 /// past the round that filled it, so an idle barrier with outstanding
 /// batches force-flushes and goes around — except under the deliberate
-/// hang fault, which keeps withholding until the watchdog aborts the run.
+/// hang fault, which keeps withholding until the no-progress check aborts
+/// the run.
 void ShardThread::run_credit() {
   while (begin_round(/*credit=*/true)) {
     double t = kInfiniteTime;
@@ -284,7 +313,8 @@ void ShardThread::run_credit() {
       // the latest dispatched time and go around (all reduced values, so
       // every shard picks the same timestamp). Under the hang fault the
       // flush is a no-op and this loop spins at zero processed events —
-      // exactly the livelock the watchdog converts into an abort.
+      // exactly the livelock begin_round's no-progress check converts into
+      // an abort.
       kernel.flush_ack_batches(flush_time, /*force=*/true);
       arrive();  // flush posts before the next round's drains
       continue;
@@ -331,7 +361,7 @@ void ShardThread::run_exact() {
     state.slots[me].acks_posted = kernel.take_acks_posted();
     arrive();
     for (;;) {
-      if (state.guard.stop_requested()) return;
+      if (state.guard.token().stop_requested()) return;
       std::uint32_t acks = 0;
       for (int s = 0; s < shards; ++s) acks += state.slots[s].acks_posted;
       if (acks == 0) break;
@@ -345,9 +375,9 @@ void ShardThread::run_exact() {
 }
 
 /// Fills the per-shard forensics snapshots. Runs on the main thread after
-/// every worker (and the watchdog) has stopped — for *every* run, not only
-/// aborts: a healthy run's end-state (queue/mailbox depths, credit
-/// occupancy) is the baseline the abort snapshots are read against.
+/// every worker has joined — for *every* run, not only aborts: a healthy
+/// run's end-state (queue/mailbox depths, credit occupancy) is the
+/// baseline the abort snapshots are read against.
 void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
                        Mailboxes* mail) {
   result.shard_forensics.clear();
@@ -440,31 +470,26 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     }
   }
 
-  RunGuard guard;
-  Watchdog::Config wd_config;
-  wd_config.timeout_ms = options.watchdog_timeout_ms;
-  wd_config.wall_clock_budget_ms = options.wall_clock_budget_ms;
-  wd_config.rss_budget_mb = options.rss_budget_mb;
+  RunGuard guard(options.max_events, options.wall_clock_budget_ms,
+                 options.rss_budget_mb);
 
   if (graph.shard_count <= 1) {
-    // Single shard: no cross-shard protocol, so no fault sites — but the
-    // watchdog and the event/wall-clock/RSS budgets still apply.
+    // Single shard: no cross-shard protocol, so no fault sites and no
+    // rounds to livelock in — but the event/wall-clock/RSS budgets still
+    // apply.
     Kernel kernel(graph, options, diags, /*shard=*/0, /*router=*/nullptr);
-    kernel.set_guard(&guard, options.max_events);
+    kernel.set_guard(&guard);
     kernel.seed();
-    {
-      Watchdog watchdog(guard, wd_config);
-      kernel.process_events(kInfiniteTime, /*inclusive=*/false,
-                            options.max_time_ns);
-    }
-    const bool aborted = guard.cause() != StopCause::kNone;
+    kernel.process_events(kInfiniteTime, /*inclusive=*/false,
+                          options.max_time_ns);
+    const bool aborted = guard.token().stop_requested();
     double end_time =
         kernel.capped() ? options.max_time_ns : kernel.last_event_time();
     std::vector<Kernel*> kernels{&kernel};
     SimResult result = merge_results(graph, kernels, end_time, diags, aborted);
     if (aborted) {
       result.aborted = true;
-      result.abort_reason = std::string(to_string(guard.cause()));
+      result.abort_reason = std::string(to_string(guard.token().cause()));
     }
     collect_forensics(result, kernels, /*mail=*/nullptr);
     publish_run_metrics(result, /*state=*/nullptr, /*shards=*/1);
@@ -473,7 +498,7 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
 
   const int shards = graph.shard_count;
   RoundState state(shards, stats.min_cross_latency_ns, options.max_time_ns,
-                   guard);
+                   guard, options.watchdog_timeout_ms);
 
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   std::vector<std::unique_ptr<ShardRouter>> routers;
@@ -488,30 +513,27 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
         state.mail, s, faulty ? injectors[s].get() : nullptr));
     kernels.push_back(
         std::make_unique<Kernel>(graph, options, diags, s, routers[s].get()));
-    kernels[s]->set_guard(&guard, options.max_events);
+    kernels[s]->set_guard(&guard);
     if (faulty) kernels[s]->set_fault_injector(injectors[s].get());
   }
   // Seed single-threaded (behaviour on_start may post cross-shard traffic;
   // the mailboxes are drained at the first round).
   for (auto& kernel : kernels) kernel->seed();
 
-  {
-    Watchdog watchdog(guard, wd_config);
-    std::vector<std::thread> threads;
-    threads.reserve(shards);
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s, credit]() {
-        obs::Span span("sim.shard");
-        span.arg("shard", static_cast<std::int64_t>(s))
-            .arg("mode", credit ? "credit" : "exact");
-        ShardThread shard{s, shards, *kernels[s], state, *injectors[s]};
-        credit ? shard.run_credit() : shard.run_exact();
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }  // watchdog joined: forensics below read a quiet world
+  std::vector<std::thread> threads;
+  threads.reserve(shards);
+  for (int s = 0; s < shards; ++s) {
+    threads.emplace_back([&, s, credit]() {
+      obs::Span span("sim.shard");
+      span.arg("shard", static_cast<std::int64_t>(s))
+          .arg("mode", credit ? "credit" : "exact");
+      ShardThread shard{s, shards, *kernels[s], state, *injectors[s]};
+      credit ? shard.run_credit() : shard.run_exact();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 
-  const bool aborted = guard.cause() != StopCause::kNone;
+  const bool aborted = guard.token().stop_requested();
   double end_time = 0.0;
   if (state.capped.load(std::memory_order_relaxed)) {
     end_time = options.max_time_ns;
@@ -527,7 +549,7 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
       merge_results(graph, kernel_ptrs, end_time, diags, aborted);
   if (aborted) {
     result.aborted = true;
-    result.abort_reason = std::string(to_string(guard.cause()));
+    result.abort_reason = std::string(to_string(guard.token().cause()));
   }
   collect_forensics(result, kernel_ptrs, &state.mail);
   publish_run_metrics(result, &state, shards);

@@ -1,5 +1,5 @@
 // Resident-set probe shared by the tydid admission control (rss_shed_mb)
-// and the sim watchdog's RSS budget.
+// and the sim run guard's RSS budget.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/driver/compiler.hpp"
+#include "src/support/stop.hpp"
 #include "src/tpch/tpch.hpp"
 #include "src/types/physical.hpp"
 
@@ -228,7 +229,9 @@ TEST(ConcurrentCompile, CancellationClassifiesAsAborted) {
   ASSERT_NE(q, nullptr);
   driver::CompileSession session;
   driver::CompileOptions options = tpch::query_options(*q);
-  options.cancelled = []() { return true; };
+  support::StopToken stop;
+  stop.request_stop(support::StopCause::kCancelled);
+  options.stop = &stop;
   driver::CompileResult r =
       session.compile(tpch::query_sources(*q), options);
   EXPECT_FALSE(r.success());
@@ -244,7 +247,9 @@ TEST(ConcurrentCompile, ExhaustedBudgetClassifiesAsAborted) {
   driver::CompileOptions options = tpch::query_options(*q);
   // A sub-microsecond budget is always exceeded by the first phase-boundary
   // check (the parse phase itself takes longer), so this is deterministic.
-  options.budget_ms = 1e-6;
+  support::StopToken stop;
+  stop.tighten_deadline(1e-6);
+  options.stop = &stop;
   driver::CompileResult r =
       session.compile(tpch::query_sources(*q), options);
   EXPECT_FALSE(r.success());

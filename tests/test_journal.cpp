@@ -22,6 +22,7 @@
 #include "src/service/service.hpp"
 #include "src/service/warmup.hpp"
 #include "src/support/journal.hpp"
+#include "src/support/stop.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi {
@@ -30,7 +31,6 @@ namespace {
 using driver::SourceStamp;
 using service::warmup::CompileJournal;
 using service::warmup::JournalEntry;
-using service::warmup::ReplayOptions;
 using service::warmup::ReplayStats;
 using support::IoFaultPlan;
 using support::RecoveredJournal;
@@ -448,7 +448,7 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
   ReplayStats stats;
   std::vector<std::string> submitted;
   (void)service::warmup::replay_entries(
-      entries, ReplayOptions{},
+      entries, support::StopToken{},
       [&](const std::string& request) {
         submitted.push_back(request);
         if (request == "SHED_ME") {
@@ -474,10 +474,10 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
 TEST(ReplayEntries, BudgetBoundsTheLoop) {
   std::vector<JournalEntry> entries(3, JournalEntry{"SLOW", {}});
   ReplayStats stats;
-  ReplayOptions options;
-  options.budget_ms = 5.0;
+  support::StopToken budget;
+  budget.tighten_deadline(5.0);
   const double elapsed = service::warmup::replay_entries(
-      entries, options,
+      entries, budget,
       [](const std::string&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Status::ok();
@@ -491,10 +491,10 @@ TEST(ReplayEntries, BudgetBoundsTheLoop) {
 TEST(ReplayEntries, StopAbortsPromptly) {
   std::vector<JournalEntry> entries(5, JournalEntry{"NEVER", {}});
   ReplayStats stats;
+  support::StopToken stop;
+  stop.request_stop(support::StopCause::kDrain);
   (void)service::warmup::replay_entries(
-      entries, ReplayOptions{},
-      [](const std::string&) { return Status::ok(); }, stats,
-      [] { return true; });
+      entries, stop, [](const std::string&) { return Status::ok(); }, stats);
   EXPECT_EQ(stats.replayed.get(), 0u);
   EXPECT_EQ(stats.budget_expired.get(), 5u);
 }

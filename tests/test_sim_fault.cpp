@@ -238,7 +238,7 @@ TEST(SimGuard, WatchdogConvertsWithheldAckHangIntoAbort) {
 
   ASSERT_TRUE(result.aborted);
   EXPECT_EQ(result.abort_reason,
-            sim::to_string(sim::StopCause::kWatchdogNoProgress));
+            sim::to_string(sim::StopCause::kNoProgress));
   EXPECT_FALSE(result.deadlock);  // aborted runs skip deadlock analysis
   ASSERT_EQ(result.shard_forensics.size(), 2u);
   std::int64_t pending = 0;
@@ -293,7 +293,24 @@ TEST(SimGuard, WallClockBudgetAbortsAHungRun) {
   sim::SimResult result = engine.run(options);
   ASSERT_TRUE(result.aborted);
   EXPECT_EQ(result.abort_reason,
-            sim::to_string(sim::StopCause::kWallClock));
+            sim::to_string(sim::StopCause::kDeadline));
+}
+
+TEST(SimGuard, RssBudgetAbortsTheRun) {
+  // Any live process is resident in more than 1 MiB, so the budget fires
+  // at the run's first guard sync — in the kernel, on the shard threads.
+  driver::CompileResult compiled = compile_pipeline();
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  for (int shards : {1, 2}) {
+    sim::SimOptions options = base_options(compiled.design, 64, shards);
+    options.rss_budget_mb = 1;
+    sim::SimResult result = engine.run(options);
+    EXPECT_TRUE(result.aborted) << shards << " shards";
+    EXPECT_EQ(result.abort_reason, "rss-budget") << shards << " shards";
+    EXPECT_EQ(result.status().code(), support::StatusCode::kAborted);
+    EXPECT_FALSE(result.shard_forensics.empty());
+  }
 }
 
 TEST(SimGuard, BudgetsOffByDefault) {

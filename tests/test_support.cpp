@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "src/support/diagnostic.hpp"
 #include "src/support/intern.hpp"
 #include "src/support/retry.hpp"
 #include "src/support/source.hpp"
 #include "src/support/status.hpp"
+#include "src/support/stop.hpp"
 #include "src/support/text.hpp"
 
 // Process-wide allocation counter for the CodeWriter regression test: every
@@ -378,6 +381,55 @@ TEST(Retry, SingleAttemptPolicyNeverSleeps) {
   Retry retry(policy);
   double delay = 0.0;
   EXPECT_FALSE(retry.next_delay_ms(1000.0, delay));
+}
+
+TEST(StopToken, FirstCauseWins) {
+  StopToken stop;
+  EXPECT_FALSE(stop.stop_requested());
+  EXPECT_FALSE(stop.poll());
+  EXPECT_EQ(stop.cause(), StopCause::kNone);
+
+  stop.request_stop(StopCause::kCancelled);
+  stop.request_stop(StopCause::kDrain);
+  EXPECT_TRUE(stop.stop_requested());
+  EXPECT_EQ(stop.cause(), StopCause::kCancelled);
+
+  // A deadline passing later does not overwrite the first cause either.
+  stop.tighten_deadline(0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_TRUE(stop.poll());
+  EXPECT_EQ(stop.cause(), StopCause::kCancelled);
+}
+
+TEST(StopToken, PollRaisesDeadlineOnlyAfterTheDeadline) {
+  StopToken far;
+  far.tighten_deadline(60000.0);
+  EXPECT_FALSE(far.poll());
+  EXPECT_EQ(far.cause(), StopCause::kNone);
+
+  StopToken near;
+  near.tighten_deadline(1.0);
+  // Nothing raises the cause before a poll sees the deadline passed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(near.stop_requested());
+  EXPECT_TRUE(near.poll());
+  EXPECT_EQ(near.cause(), StopCause::kDeadline);
+}
+
+TEST(StopToken, TightenDeadlineNeverExtendsIt) {
+  StopToken stop;
+  stop.tighten_deadline(1.0);
+  stop.tighten_deadline(60000.0);  // looser: ignored
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(stop.poll());
+  EXPECT_EQ(stop.cause(), StopCause::kDeadline);
+
+  // Zero and negative budgets mean "unlimited": they set no deadline.
+  StopToken unlimited;
+  unlimited.tighten_deadline(0.0);
+  unlimited.tighten_deadline(-5.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(unlimited.poll());
 }
 
 }  // namespace
