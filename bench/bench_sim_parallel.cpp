@@ -28,14 +28,16 @@
 // the watchdog to convert the hang into SimResult::aborted with non-empty
 // per-shard forensics.
 //
-// The obs section (BENCH_sim.json "sim_obs_overhead") interleaves traced
-// and untraced runs of the grid workload and gates the traced events/sec
-// at >= 0.95 of the untraced rate, plus a check that the metrics registry
-// mirrors (tydi.sim.runs, tydi.sim.last.events) agree with SimResult.
+// The obs section (BENCH_sim.json "sim_obs_overhead") runs the grid
+// workload in traced/untraced pairs and gates the median of the per-pair
+// traced/untraced events/sec ratios at >= 0.95, plus a check that the
+// metrics registry mirrors (tydi.sim.runs, tydi.sim.last.events) agree with
+// SimResult.
 //
 // With `--json <path>` the measurements are upserted into the BENCH_sim.json
 // trajectory array. `--packets <n>` shrinks the measured run for smoke use;
 // `--fault-seeds <n>` sets the sweep width (default 64).
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -202,6 +204,26 @@ Measurement measure(Workload& workload, int shards,
   m.events = result.events_processed;
   m.wall_seconds = std::chrono::duration<double>(stop - start).count();
   return m;
+}
+
+/// Median and quartiles of a sample (linear interpolation between ranks).
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Quartiles quartiles(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double q) {
+    const double rank = q * static_cast<double>(samples.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (rank - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return Quartiles{at(0.25), at(0.5), at(0.75)};
 }
 
 /// Exact vs credit at one shard count on the saturated chain (best of
@@ -518,15 +540,20 @@ int main(int argc, char** argv) {
   // --- Observability overhead: span tracing on vs off -------------------
   // The sim publishes metrics once per run and times barrier waits with
   // two clock reads per wait regardless; the only per-run delta a user can
-  // toggle is span emission. Interleaved (ABAB...) min-of-N events/sec on
-  // the grid workload, gated at >= 0.95 of the untraced rate. The same
-  // pass checks the registry mirrors: tydi.sim.runs must advance per run
-  // and the tydi.sim.last.events gauge must equal the run's event count.
+  // toggle is span emission. kObsPairs traced/untraced pairs of the grid
+  // workload run back to back, the order alternating from pair to pair;
+  // each pair gives one events/sec ratio, and the gate reads their median
+  // (>= 0.95), so one slow run cannot flip it the way a min-of-3 could.
+  // The same pass checks the registry mirrors: tydi.sim.runs must advance
+  // per run and the tydi.sim.last.events gauge must equal the run's event
+  // count.
   bool obs_overhead_ok = true;
   bool obs_registry_ok = true;
-  double obs_traced_eps = 0.0;
-  double obs_untraced_eps = 0.0;
+  double obs_traced_eps = 0.0;    // median over the pairs
+  double obs_untraced_eps = 0.0;  // median over the pairs
+  Quartiles obs_ratio;
   constexpr double kMinObsRatio = 0.95;
+  constexpr int kObsPairs = 11;
   {
     tydi::obs::SpanTracer& tracer = tydi::obs::SpanTracer::global();
     auto& reg = tydi::obs::MetricsRegistry::global();
@@ -539,32 +566,27 @@ int main(int argc, char** argv) {
         reg.gauge("tydi.sim.last.events").value() ==
             static_cast<double>(probe.events);
 
-    constexpr int kReps = 3;
-    double traced_s = 0.0;
-    double untraced_s = 0.0;
-    std::uint64_t events = 0;
-    for (int r = 0; r < 2 * kReps; ++r) {
-      const bool traced = r % 2 == 0;
-      tracer.clear();
-      tracer.set_enabled(traced);
-      Measurement m = measure(grid, 2);
-      events = m.events;
-      if (traced) {
-        if (traced_s == 0.0 || m.wall_seconds < traced_s) {
-          traced_s = m.wall_seconds;
-        }
-      } else if (untraced_s == 0.0 || m.wall_seconds < untraced_s) {
-        untraced_s = m.wall_seconds;
+    std::vector<double> ratios;
+    std::vector<double> traced_eps;
+    std::vector<double> untraced_eps;
+    for (int pair = 0; pair < kObsPairs; ++pair) {
+      double eps[2] = {0.0, 0.0};  // [untraced, traced]
+      for (int k = 0; k < 2; ++k) {
+        const bool traced = (pair % 2 == 0) == (k == 0);
+        tracer.clear();
+        tracer.set_enabled(traced);
+        eps[traced ? 1 : 0] = measure(grid, 2).events_per_sec();
       }
+      untraced_eps.push_back(eps[0]);
+      traced_eps.push_back(eps[1]);
+      ratios.push_back(eps[0] > 0.0 ? eps[1] / eps[0] : 0.0);
     }
     tracer.set_enabled(false);
     tracer.clear();
-    obs_traced_eps =
-        traced_s > 0.0 ? static_cast<double>(events) / traced_s : 0.0;
-    obs_untraced_eps =
-        untraced_s > 0.0 ? static_cast<double>(events) / untraced_s : 0.0;
-    obs_overhead_ok = obs_untraced_eps > 0.0 &&
-                      obs_traced_eps / obs_untraced_eps >= kMinObsRatio;
+    obs_traced_eps = quartiles(traced_eps).median;
+    obs_untraced_eps = quartiles(untraced_eps).median;
+    obs_ratio = quartiles(ratios);
+    obs_overhead_ok = obs_ratio.median >= kMinObsRatio;
   }
 
   unsigned cores = std::thread::hardware_concurrency();
@@ -611,12 +633,11 @@ int main(int argc, char** argv) {
             << (fault_sweep_ok ? "ok" : "VIOLATED " + fault_why) << "\n"
             << "watchdog converts withheld-ack hang into abort: "
             << (watchdog_ok ? "ok" : "VIOLATED " + watchdog_why) << "\n"
-            << "obs overhead (traced/untraced events/s on grid): "
-            << tydi::support::format_fixed(
-                   obs_untraced_eps > 0.0
-                       ? obs_traced_eps / obs_untraced_eps
-                       : 0.0,
-                   3)
+            << "obs overhead (median traced/untraced events/s on grid, "
+            << kObsPairs << " pairs): "
+            << tydi::support::format_fixed(obs_ratio.median, 3)
+            << " [q1 " << tydi::support::format_fixed(obs_ratio.q1, 3)
+            << ", q3 " << tydi::support::format_fixed(obs_ratio.q3, 3) << "]"
             << (obs_overhead_ok ? " (ok)" : " (VIOLATED)") << "\n"
             << "obs registry mirrors sim results: "
             << (obs_registry_ok ? "ok" : "VIOLATED") << "\n";
@@ -712,10 +733,10 @@ int main(int argc, char** argv) {
             << "    \"untraced_events_per_sec\": " << obs_untraced_eps
             << ",\n"
             << "    \"traced_events_per_sec\": " << obs_traced_eps << ",\n"
-            << "    \"ratio\": "
-            << (obs_untraced_eps > 0.0 ? obs_traced_eps / obs_untraced_eps
-                                       : 0.0)
-            << ",\n"
+            << "    \"pairs\": " << kObsPairs << ",\n"
+            << "    \"ratio\": " << obs_ratio.median << ",\n"
+            << "    \"ratio_q1\": " << obs_ratio.q1 << ",\n"
+            << "    \"ratio_q3\": " << obs_ratio.q3 << ",\n"
             << "    \"min_ratio\": " << kMinObsRatio << ",\n"
             << "    \"overhead_ok\": "
             << (obs_overhead_ok ? "true" : "false") << ",\n"

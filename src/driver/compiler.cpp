@@ -208,34 +208,24 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
           obs::MetricsRegistry::global().counter("tydi.parse.cache_hits");
       static obs::Counter& parse_misses =
           obs::MetricsRegistry::global().counter("tydi.parse.cache_misses");
-      if (session != nullptr) {
-        std::shared_lock lock(session->parse_mu_);
-        for (const CompileSession::CachedParse& c : session->parses_) {
-          if (c.file_value == id.value && c.hash == hash && c.name == name) {
-            program->files.push_back(c.ast);
-            ++parse_hits;
-            return;
-          }
-        }
+      const CompileSession::SlotKey key{id.value, name};
+      bool newest = false;
+      std::shared_ptr<const lang::SourceFile> ast =
+          session != nullptr ? session->find_parse(key, hash, newest) : nullptr;
+      std::shared_ptr<const lang::SourceFile> cacheable = ast;
+      if (ast != nullptr) {
+        ++parse_hits;
+      } else {
+        if (session != nullptr) ++parse_misses;
+        const std::size_t diags_before = result.diags->diagnostics().size();
+        ast = std::make_shared<const lang::SourceFile>(
+            lang::parse(stored, id, *result.diags));
+        // Cache only diagnostic-free parses (cached reuse replays no diags).
+        if (result.diags->diagnostics().size() == diags_before) cacheable = ast;
       }
-      if (session != nullptr) ++parse_misses;
-      const std::size_t diags_before = result.diags->diagnostics().size();
-      auto ast = std::make_shared<const lang::SourceFile>(
-          lang::parse(stored, id, *result.diags));
       program->files.push_back(ast);
-      // Cache only diagnostic-free parses (cached reuse replays no diags).
-      if (session != nullptr &&
-          result.diags->diagnostics().size() == diags_before) {
-        std::unique_lock lock(session->parse_mu_);
-        // Re-scan under the exclusive lock: a concurrent compile of the
-        // same sources may have published this parse while we parsed.
-        for (const CompileSession::CachedParse& c : session->parses_) {
-          if (c.file_value == id.value && c.hash == hash && c.name == name) {
-            return;
-          }
-        }
-        session->parses_.push_back(CompileSession::CachedParse{
-            name, hash, id.value, std::move(ast)});
+      if (session != nullptr && !newest) {
+        session->record_parse(key, hash, std::move(cacheable));
       }
     };
     if (options.include_stdlib) {
@@ -295,6 +285,58 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
     result.vhdl_text = vhdl::emit(result.ir, options.vhdl, *result.diags);
   }
   return result;
+}
+
+std::size_t CompileSession::parse_cache_size() const {
+  std::shared_lock lock(parse_mu_);
+  std::size_t versions = 0;
+  for (const auto& slot : parses_) versions += slot.second.size();
+  return versions;
+}
+
+std::shared_ptr<const lang::SourceFile> CompileSession::find_parse(
+    const SlotKey& key, std::uint64_t hash, bool& newest) const {
+  std::shared_lock lock(parse_mu_);
+  auto it = parses_.find(key);
+  if (it == parses_.end()) return nullptr;
+  for (const ParseVersion& v : it->second) {
+    if (v.hash == hash) {
+      newest = &v == &it->second.front();
+      return v.ast;
+    }
+  }
+  return nullptr;
+}
+
+void CompileSession::record_parse(const SlotKey& key, std::uint64_t hash,
+                                  std::shared_ptr<const lang::SourceFile> ast) {
+  ParseVersion retired;  // destroyed after the lock is released
+  std::vector<elab::SourceStamp> live;
+  {
+    std::unique_lock lock(parse_mu_);
+    std::vector<ParseVersion>& versions = parses_[key];
+    // A concurrent compile of the same text may have recorded it already.
+    auto it = std::find_if(
+        versions.begin(), versions.end(),
+        [&](const ParseVersion& v) { return v.hash == hash; });
+    if (it == versions.end()) {
+      it = versions.insert(it, ParseVersion{hash, nullptr});
+    }
+    if (it->ast == nullptr) it->ast = std::move(ast);
+    std::rotate(versions.begin(), it, it + 1);
+    if (versions.size() <= kVersionsPerSource) return;
+    retired = std::move(versions.back());
+    versions.pop_back();
+    for (const auto& [slot, held] : parses_) {
+      for (const ParseVersion& v : held) {
+        live.push_back(elab::SourceStamp{support::FileId{slot.first}, v.hash});
+      }
+    }
+  }
+  // Outside parse_mu_, so parse lookups go on during the sweep. Two racing
+  // sweeps may use live sets of different ages: that only costs a miss or
+  // defers a drop to the next sweep.
+  memo_.retain(std::move(live));
 }
 
 CompileResult compile(const std::vector<NamedSource>& sources,

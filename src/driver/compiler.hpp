@@ -10,6 +10,7 @@
 // bench.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -163,41 +164,27 @@ class CompileSession;
     const std::vector<NamedSource>& sources, const CompileOptions& options,
     CompileSession* session);
 
-/// A sequence of compiles sharing the process-wide caches of the compile
-/// hot path:
+/// A sequence of compiles sharing the two caches of the compile hot path:
 ///
-///  - the template-instantiation memo (elab::TemplateMemo): stdlib and
-///    user monomorphisations elaborated by one compile are replayed —
-///    value-copied in original insertion order — by later compiles whose
-///    defining sources are byte-identical;
-///  - the parse cache: a source file whose (file id, name, content hash)
-///    triple matches a previous compile reuses that compile's AST, so the
-///    standard library parses once per session, not once per compile.
+///  - the template-instantiation memo (elab::TemplateMemo): monomorphisations
+///    elaborated by one compile are replayed, in original insertion order,
+///    by later compiles whose defining and dependency sources are
+///    byte-identical (stamps, see src/elab/memo.hpp);
+///  - the parse cache: a source whose (file id, name, content hash) matches
+///    a previous compile reuses that compile's AST, so the standard library
+///    parses once per session.
 ///
-/// Lowering and emission need no session cache: a port's physical layouts,
-/// net name tails and display form live on its logical type
-/// (types::lowering_of), and memo hits hand warm compiles the same types.
+/// Both are bounded by one retention rule: each (file id, name) slot keeps
+/// its kVersionsPerSource most recently compiled content hashes, and the
+/// memo drops every version stamped with a hash no slot holds any more. Two
+/// versions keep an editor flipping between two texts warm, and the two
+/// Table IV Q1 cases (one source name, two texts) warm in one batch.
 ///
-/// Compiles through a session produce byte-identical IR/VHDL to standalone
-/// `driver::compile` calls (covered by the golden tests). Memo entries are
-/// invalidated by content hash of their defining file *and* of every file
-/// whose global types/constants their elaboration resolved (dependency
-/// stamps, see src/elab/memo.hpp), so editing any involved source between
-/// compiles re-elaborates instead of serving stale results. `invalidate()`
-/// drops both caches wholesale.
-///
-/// Concurrency: any number of threads may call `compile` on one session
-/// simultaneously (parallel `compile_batch` workers, `tydid` request
-/// handlers). The template memo synchronizes itself and the parse cache
-/// uses the session's own lock, both with shared-lock lookups, and both
-/// serve immutable shared payloads, so compiles never block each other
-/// outside the brief publish sections. Outputs are byte-identical whatever
-/// the interleaving: a cache hit and a fresh elaboration of the same
-/// sources produce the same bytes (golden-tested), so races only affect
-/// *which* thread fills a cache slot, never what a compile emits.
-/// `invalidate()` may race in-flight compiles safely: they keep the shared
-/// payloads they already captured and simply re-elaborate on their next
-/// lookup.
+/// Outputs are byte-identical to standalone `driver::compile` calls, hit or
+/// miss (golden-tested). Any number of threads may compile through one
+/// session at once, and `invalidate()` or a retirement may race them: they
+/// keep the shared payloads they captured and re-elaborate on their next
+/// lookup. src/driver/README.md documents the concurrency model.
 class CompileSession {
  public:
   CompileSession() = default;
@@ -210,6 +197,9 @@ class CompileSession {
     return compile_with_session(sources, options, this);
   }
 
+  /// Content hashes each (file id, name) slot keeps, newest first.
+  static constexpr std::size_t kVersionsPerSource = 2;
+
   /// Drops every cached parse and memo entry. Safe to call while compiles
   /// are in flight: they keep the shared payloads they already hold and
   /// re-elaborate on their next lookup.
@@ -220,27 +210,39 @@ class CompileSession {
   }
 
   [[nodiscard]] const elab::TemplateMemo& memo() const { return memo_; }
-  [[nodiscard]] std::size_t parse_cache_size() const {
-    std::shared_lock lock(parse_mu_);
-    return parses_.size();
-  }
+  /// Content hashes held across all slots (at most slots x
+  /// kVersionsPerSource).
+  [[nodiscard]] std::size_t parse_cache_size() const;
 
  private:
   friend CompileResult compile_with_session(
       const std::vector<NamedSource>& sources, const CompileOptions& options,
       CompileSession* session);
 
-  struct CachedParse {
-    std::string name;
+  /// (FileId value the AST's Locs refer to, source name).
+  using SlotKey = std::pair<std::uint32_t, std::string>;
+  struct ParseVersion {
     std::uint64_t hash = 0;
-    std::uint32_t file_value = 0;  ///< FileId the AST's Locs refer to
+    /// Null when the parse produced diagnostics (a reuse would replay
+    /// none); the hash is held anyway so the memo keeps its entries.
     std::shared_ptr<const lang::SourceFile> ast;
   };
+
+  /// The cached AST of `hash` in its slot, or null. `newest` is set when
+  /// `hash` is already the slot's newest version (nothing to record).
+  [[nodiscard]] std::shared_ptr<const lang::SourceFile> find_parse(
+      const SlotKey& key, std::uint64_t hash, bool& newest) const;
+  /// Makes `hash` its slot's newest version, storing `ast` unless the slot
+  /// already has one for it. A hash pushed out of the slot retires: the
+  /// memo is swept against every hash still held.
+  void record_parse(const SlotKey& key, std::uint64_t hash,
+                    std::shared_ptr<const lang::SourceFile> ast);
 
   elab::TemplateMemo memo_;
   /// Guards `parses_` (the memo synchronizes itself).
   mutable std::shared_mutex parse_mu_;
-  std::vector<CachedParse> parses_;
+  /// Newest version first, at most kVersionsPerSource per slot.
+  std::map<SlotKey, std::vector<ParseVersion>> parses_;
 };
 
 /// One unit of a batch compile: a named source set with its own options.

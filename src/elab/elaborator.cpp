@@ -30,6 +30,12 @@ std::string short_hash(std::string_view text) {
   return out;
 }
 
+void push_unique(std::vector<Symbol>& refs, Symbol sym) {
+  if (std::find(refs.begin(), refs.end(), sym) == refs.end()) {
+    refs.push_back(sym);
+  }
+}
+
 std::string display_args(const std::vector<TemplateArgValue>& args) {
   std::vector<std::string> parts;
   parts.reserve(args.size());
@@ -103,50 +109,20 @@ void Elaborator::record_named_type_dep(Symbol name_sym) {
 }
 
 void Elaborator::record_ref_streamlet(Symbol sym) {
-  if (dep_stack_.empty()) return;
-  std::vector<Symbol>& refs = dep_stack_.back().ref_streamlets;
-  if (std::find(refs.begin(), refs.end(), sym) == refs.end()) {
-    refs.push_back(sym);
-  }
+  if (!dep_stack_.empty()) push_unique(dep_stack_.back().ref_streamlets, sym);
 }
 
 void Elaborator::record_ref_impl(Symbol sym) {
-  if (dep_stack_.empty()) return;
-  std::vector<Symbol>& refs = dep_stack_.back().ref_impls;
-  if (std::find(refs.begin(), refs.end(), sym) == refs.end()) {
-    refs.push_back(sym);
-  }
+  if (!dep_stack_.empty()) push_unique(dep_stack_.back().ref_impls, sym);
 }
 
 Elaborator::DepFrameData Elaborator::pop_dep_frame() {
   DepFrameData frame = std::move(dep_stack_.back());
   dep_stack_.pop_back();
-  if (!dep_stack_.empty()) {
-    DepFrameData& parent = dep_stack_.back();
-    for (const SourceStamp& dep : frame.sources) {
-      bool seen = false;
-      for (const SourceStamp& existing : parent.sources) {
-        if (existing.file == dep.file) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) parent.sources.push_back(dep);
-    }
-    for (Symbol sym : frame.ref_streamlets) {
-      if (std::find(parent.ref_streamlets.begin(),
-                    parent.ref_streamlets.end(),
-                    sym) == parent.ref_streamlets.end()) {
-        parent.ref_streamlets.push_back(sym);
-      }
-    }
-    for (Symbol sym : frame.ref_impls) {
-      if (std::find(parent.ref_impls.begin(), parent.ref_impls.end(), sym) ==
-          parent.ref_impls.end()) {
-        parent.ref_impls.push_back(sym);
-      }
-    }
-  }
+  // Merge into the enclosing frame (each record_* is a no-op without one).
+  for (const SourceStamp& dep : frame.sources) record_stamp(dep);
+  for (Symbol sym : frame.ref_streamlets) record_ref_streamlet(sym);
+  for (Symbol sym : frame.ref_impls) record_ref_impl(sym);
   return frame;
 }
 
@@ -273,20 +249,9 @@ void Elaborator::evaluate_global_consts() {
       // (its own file + the files of every constant its initializer read)
       // so entries reading it later can stamp the full closure.
       push_dep_frame();
+      record_source_dep(c->loc);
       evaluate_global_const(*c);
-      DepFrameData frame = pop_dep_frame();
-      SourceStamp own = stamp_for(c->loc);
-      if (own.file.valid()) {
-        bool seen = false;
-        for (const SourceStamp& s : frame.sources) {
-          if (s.file == own.file) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) frame.sources.push_back(own);
-      }
-      const_deps_[support::intern(c->name)] = std::move(frame.sources);
+      const_deps_[support::intern(c->name)] = pop_dep_frame().sources;
     }
   }
 }
@@ -363,12 +328,7 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
   const bool track_deps = memo_.enabled();
   if (track_deps) {
     push_dep_frame();
-    if (auto it = alias_decls_.find(name_sym); it != alias_decls_.end()) {
-      record_source_dep(it->second->loc);
-    } else if (auto git = group_decls_.find(name_sym);
-               git != group_decls_.end()) {
-      record_source_dep(git->second->loc);
-    }
+    record_named_type_dep(name_sym);  // not cached yet: the declaring file
   }
   types::TypeRef result;
 
@@ -946,6 +906,7 @@ std::string Elaborator::elaborate_impl(
     if (stamp.file.valid()) {
       TemplateMemo::ImplEntry entry;
       entry.payload = design_.share_impl(mangled_sym);
+      entry.program = program_;
       entry.stamp = stamp;
       const DepFrameData& frame = dep_stack_.back();
       entry.dep_sources = frame.sources;
@@ -977,7 +938,7 @@ std::string Elaborator::elaborate_impl(
           frame.ref_streamlets, entry.dep_streamlets, support::kNoSymbol);
       entry.required_impls =
           outside_window(frame.ref_impls, entry.dep_impls, mangled_sym);
-      memo_.memo->put_impl(mangled_sym, std::move(entry), program_);
+      memo_.memo->put_impl(mangled_sym, std::move(entry));
     }
   }
   return mangled;

@@ -1,5 +1,7 @@
 #include "src/elab/memo.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <mutex>
 
 #include "src/obs/metrics.hpp"
@@ -43,27 +45,77 @@ std::uint64_t source_hash(std::string_view text) {
 
 namespace {
 
-/// True when the entry's own stamp and every dependency stamp match the
-/// current compile's sources.
-template <typename Entry>
-bool entry_current(const Entry& entry, const SourceHashes& hashes) {
-  if (!entry.stamp.current(hashes)) return false;
+/// True when `ok` holds for the entry's own stamp and every dependency stamp.
+template <typename Entry, typename Pred>
+bool all_stamps(const Entry& entry, Pred ok) {
+  if (!ok(entry.stamp)) return false;
   for (const SourceStamp& dep : entry.dep_sources) {
-    if (!dep.current(hashes)) return false;
+    if (!ok(dep)) return false;
   }
   return true;
 }
 
-/// The version whose stamps all match the current source hashes, or
-/// nullptr. At most one version's *own* stamp can match (a file id has one
-/// current hash), so the scan is deterministic.
-const TemplateMemo::ImplEntry* current_impl_version(
-    const std::vector<std::shared_ptr<const TemplateMemo::ImplEntry>>& versions,
-    const SourceHashes& hashes) {
-  for (const auto& entry : versions) {
-    if (entry_current(*entry, hashes)) return entry.get();
+/// The version of `sym` whose stamps all match the current source hashes,
+/// or null; `known` tells whether `sym` has any version. At most one
+/// version's *own* stamp can match (a file id has one current hash), so the
+/// scan is deterministic.
+template <typename Table>
+typename Table::mapped_type::value_type current_version(
+    const Table& table, Symbol sym, const SourceHashes& hashes,
+    bool* known = nullptr) {
+  auto it = table.find(sym);
+  if (known != nullptr) *known = it != table.end();
+  if (it == table.end()) return nullptr;
+  for (const auto& entry : it->second) {
+    if (all_stamps(*entry, [&](const SourceStamp& s) {
+          return s.current(hashes);
+        })) {
+      return entry;
+    }
   }
   return nullptr;
+}
+
+/// current_version, counted as a hit, a miss (no version) or stale.
+template <typename Table>
+typename Table::mapped_type::value_type counted_version(
+    const Table& table, Symbol sym, const SourceHashes& hashes,
+    MemoStats& stats, support::RelaxedCounter& hits,
+    obs::Counter& process_hits) {
+  bool known = false;
+  auto entry = current_version(table, sym, hashes, &known);
+  if (entry != nullptr) {
+    ++hits;
+    ++process_hits;
+  } else if (!known) {
+    ++stats.misses;
+    ++MemoCounters::get().misses;
+  } else {
+    ++stats.stale;
+    ++MemoCounters::get().stale;
+  }
+  return entry;
+}
+
+/// Replaces the version with the same own stamp (a re-elaboration after a
+/// stale lookup), or adds one. Readers holding the old snapshot keep it
+/// alive until they are done with it.
+template <typename Entry>
+void upsert(std::vector<std::shared_ptr<const Entry>>& versions,
+            std::shared_ptr<const Entry> entry) {
+  for (auto& existing : versions) {
+    if (existing->stamp.file == entry->stamp.file &&
+        existing->stamp.hash == entry->stamp.hash) {
+      existing = std::move(entry);
+      return;
+    }
+  }
+  versions.push_back(std::move(entry));
+}
+
+bool stamp_less(const SourceStamp& a, const SourceStamp& b) {
+  return a.file.value != b.file.value ? a.file.value < b.file.value
+                                      : a.hash < b.hash;
 }
 
 }  // namespace
@@ -71,62 +123,30 @@ const TemplateMemo::ImplEntry* current_impl_version(
 std::shared_ptr<const Streamlet> TemplateMemo::find_streamlet(
     Symbol sym, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(sym);
-  if (it == streamlets_.end()) {
-    ++stats_.misses;
-    ++MemoCounters::get().misses;
-    return nullptr;
-  }
-  for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, hashes)) {
-      ++stats_.streamlet_hits;
-      ++MemoCounters::get().streamlet_hits;
-      return entry.payload;
-    }
-  }
-  ++stats_.stale;
-  ++MemoCounters::get().stale;
-  return nullptr;
+  auto entry = counted_version(streamlets_, sym, hashes, stats_,
+                               stats_.streamlet_hits,
+                               MemoCounters::get().streamlet_hits);
+  return entry != nullptr ? entry->payload : nullptr;
 }
 
 std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::find_impl(
     Symbol sym, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = impls_.find(sym);
-  if (it == impls_.end()) {
-    ++stats_.misses;
-    ++MemoCounters::get().misses;
-    return nullptr;
-  }
-  for (const auto& entry : it->second) {
-    if (entry_current(*entry, hashes)) {
-      ++stats_.impl_hits;
-      ++MemoCounters::get().impl_hits;
-      return entry;
-    }
-  }
-  ++stats_.stale;
-  ++MemoCounters::get().stale;
-  return nullptr;
+  return counted_version(impls_, sym, hashes, stats_, stats_.impl_hits,
+                         MemoCounters::get().impl_hits);
 }
 
 std::shared_ptr<const Streamlet> TemplateMemo::valid_streamlet(
     Symbol sym, const SourceHashes& hashes) const {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(sym);
-  if (it == streamlets_.end()) return nullptr;
-  for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, hashes)) return entry.payload;
-  }
-  return nullptr;
+  auto entry = current_version(streamlets_, sym, hashes);
+  return entry != nullptr ? entry->payload : nullptr;
 }
 
 std::shared_ptr<const Impl> TemplateMemo::valid_impl(
     Symbol sym, const SourceHashes& hashes) const {
   std::shared_lock lock(mu_);
-  auto it = impls_.find(sym);
-  if (it == impls_.end()) return nullptr;
-  const ImplEntry* entry = current_impl_version(it->second, hashes);
+  auto entry = current_version(impls_, sym, hashes);
   return entry != nullptr ? entry->payload : nullptr;
 }
 
@@ -134,46 +154,56 @@ void TemplateMemo::put_streamlet(Symbol sym,
                                  std::shared_ptr<const Streamlet> payload,
                                  SourceStamp stamp,
                                  std::vector<SourceStamp> dep_sources) {
-  std::unique_lock lock(mu_);
-  std::vector<StreamletEntry>& versions = streamlets_[sym];
-  for (StreamletEntry& existing : versions) {
-    if (existing.stamp.file == stamp.file &&
-        existing.stamp.hash == stamp.hash) {
-      existing = StreamletEntry{std::move(payload), stamp,
-                                std::move(dep_sources)};
-      return;
-    }
-  }
-  versions.push_back(
+  auto entry = std::make_shared<const StreamletEntry>(
       StreamletEntry{std::move(payload), stamp, std::move(dep_sources)});
+  std::unique_lock lock(mu_);
+  upsert(streamlets_[sym], std::move(entry));
 }
 
-void TemplateMemo::put_impl(Symbol sym, ImplEntry entry, ProgramRef pin) {
+void TemplateMemo::put_impl(Symbol sym, ImplEntry entry) {
   auto shared = std::make_shared<const ImplEntry>(std::move(entry));
   std::unique_lock lock(mu_);
-  std::vector<std::shared_ptr<const ImplEntry>>& versions = impls_[sym];
-  bool placed = false;
-  for (auto& existing : versions) {
-    if (existing->stamp.file == shared->stamp.file &&
-        existing->stamp.hash == shared->stamp.hash) {
-      // Replace the version in place; concurrent readers holding the old
-      // snapshot keep it alive until they are done with it.
-      existing = shared;
-      placed = true;
-      break;
+  upsert(impls_[sym], std::move(shared));
+}
+
+void TemplateMemo::retain(std::vector<SourceStamp> live) {
+  std::sort(live.begin(), live.end(), stamp_less);
+  auto is_live = [&](const auto& entry) {
+    return all_stamps(*entry, [&](const SourceStamp& s) {
+      return std::binary_search(live.begin(), live.end(), s, stamp_less);
+    });
+  };
+  // Moves the retired versions of every symbol out, then erases the emptied
+  // symbols. The last reference to a version may free a whole program's
+  // ASTs, so they are destroyed after the lock is released.
+  std::vector<std::shared_ptr<const void>> dropped;
+  auto sweep = [&](auto& table) {
+    for (auto it = table.begin(); it != table.end();) {
+      auto& versions = it->second;
+      auto kept =
+          std::stable_partition(versions.begin(), versions.end(), is_live);
+      std::move(kept, versions.end(), std::back_inserter(dropped));
+      versions.erase(kept, versions.end());
+      it = versions.empty() ? table.erase(it) : std::next(it);
     }
-  }
-  if (!placed) versions.push_back(std::move(shared));
-  if (pin != nullptr && (pinned_.empty() || pinned_.back() != pin)) {
-    pinned_.push_back(std::move(pin));
-  }
+  };
+  std::unique_lock lock(mu_);
+  sweep(streamlets_);
+  sweep(impls_);
+}
+
+std::size_t TemplateMemo::version_count() const {
+  std::shared_lock lock(mu_);
+  std::size_t versions = 0;
+  for (const auto& symbol : streamlets_) versions += symbol.second.size();
+  for (const auto& symbol : impls_) versions += symbol.second.size();
+  return versions;
 }
 
 void TemplateMemo::invalidate() {
   std::unique_lock lock(mu_);
   streamlets_.clear();
   impls_.clear();
-  pinned_.clear();
 }
 
 }  // namespace tydi::elab

@@ -38,7 +38,11 @@
 //    current compile — editing a type/const in file B invalidates entries
 //    declared in untouched file A that resolved through it.
 //
-// `invalidate()` remains the wholesale escape hatch.
+// Retention: a version lives only while its stamps do. When a hash leaves
+// its parse-cache slot (a session keeps two per (file id, name)), the session
+// calls `retain()` with every hash still held; src/driver/README.md explains
+// why compiles in flight cannot grow the memo past that. `invalidate()`
+// remains the wholesale escape hatch.
 //
 // Concurrency: the memo is shared by every concurrent compile of a session
 // (parallel `compile_batch` workers, `tydid` request handlers). A
@@ -103,6 +107,9 @@ class TemplateMemo {
     /// mutating (Design::impl_mutable), so the memo's view stays the
     /// pristine pre-sugar elaboration.
     std::shared_ptr<const Impl> payload;
+    /// The program whose ASTs `payload` points into (sim blocks): an AST
+    /// lives as long as the last entry elaborated from it.
+    ProgramRef program;
     SourceStamp stamp;
     /// Defining files of every global type/const this elaboration resolved
     /// (transitively); all must be current for the entry to hit.
@@ -141,9 +148,14 @@ class TemplateMemo {
   void put_streamlet(Symbol sym, std::shared_ptr<const Streamlet> payload,
                      SourceStamp stamp,
                      std::vector<SourceStamp> dep_sources);
-  void put_impl(Symbol sym, ImplEntry entry, ProgramRef pin);
+  void put_impl(Symbol sym, ImplEntry entry);
 
-  /// Explicit invalidation: drops every entry (and the pinned ASTs).
+  /// Drops every version whose own stamp or any dependency stamp is not in
+  /// `live` (the (file id, hash) pairs the session still holds), then every
+  /// symbol left without versions.
+  void retain(std::vector<SourceStamp> live);
+
+  /// Explicit invalidation: drops every entry.
   void invalidate();
 
   /// Distinct mangled names memoized (not counting per-stamp versions).
@@ -155,6 +167,8 @@ class TemplateMemo {
     std::shared_lock lock(mu_);
     return impls_.size();
   }
+  /// Versions across all streamlet and impl symbols.
+  [[nodiscard]] std::size_t version_count() const;
   /// Counters are atomics; the reference is safe to read concurrently.
   [[nodiscard]] const MemoStats& stats() const { return stats_; }
 
@@ -165,18 +179,18 @@ class TemplateMemo {
     std::vector<SourceStamp> dep_sources;  ///< see ImplEntry::dep_sources
   };
 
+  template <typename Entry>
+  using Table =
+      std::unordered_map<Symbol, std::vector<std::shared_ptr<const Entry>>>;
+
   // One version per distinct source stamp (at most one can be current for
   // any compile: a file id has exactly one current hash). Version vectors
-  // stay tiny — one per source variant of a decl seen by the session. Impl
-  // versions are shared_ptr'd so a lookup returns a stable snapshot while
+  // stay tiny — one per live source variant of a decl (see `retain`).
+  // Versions are shared_ptr'd so a lookup returns a stable snapshot while
   // writers replace versions in place.
-  std::unordered_map<Symbol, std::vector<StreamletEntry>> streamlets_;
-  std::unordered_map<Symbol, std::vector<std::shared_ptr<const ImplEntry>>>
-      impls_;
-  /// Programs whose ASTs memoized impls point into (sim blocks); kept alive
-  /// for the memo lifetime.
-  std::vector<ProgramRef> pinned_;
-  /// Guards the three containers above. Lookups shared, publishes and
+  Table<StreamletEntry> streamlets_;
+  Table<ImplEntry> impls_;
+  /// Guards the two tables above. Lookups shared; publishes, sweeps and
   /// invalidation exclusive; never held while elaborating.
   mutable std::shared_mutex mu_;
   MemoStats stats_;

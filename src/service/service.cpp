@@ -943,6 +943,14 @@ std::string CompileService::health_json() const {
   out += std::to_string(answer_hits_.get());
   out += ",\"answers_cached\":";
   out += std::to_string(answers_cached);
+  out += ",\"parse_cache_entries\":";
+  out += std::to_string(session_.parse_cache_size());
+  out += ",\"memo_streamlets\":";
+  out += std::to_string(session_.memo().streamlet_count());
+  out += ",\"memo_impls\":";
+  out += std::to_string(session_.memo().impl_count());
+  out += ",\"memo_versions\":";
+  out += std::to_string(session_.memo().version_count());
   out += ",\"journal_enabled\":";
   out += journal_ ? "true" : "false";
   out += ",\"journal_bytes\":";

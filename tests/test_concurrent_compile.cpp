@@ -1,8 +1,8 @@
 // Concurrency tests of the shared compile session: many threads compiling
 // through one CompileSession must produce byte-identical output to serial
 // standalone compiles — hit or miss, with or without a racing
-// invalidation — and the parallel compile_batch must be schedule-
-// independent. These tests run under TSan in CI (the sim-shard-tsan job),
+// invalidation or edit — the parallel compile_batch must be schedule-
+// independent, and edit churn must leave both session caches bounded. These tests run under TSan in CI (the sim-shard-tsan job),
 // which is where the locking discipline of the memo and parse caches and
 // the lock-free publication of per-type lowerings are actually enforced.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/driver/compiler.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/support/stop.hpp"
 #include "src/tpch/tpch.hpp"
 #include "src/types/physical.hpp"
@@ -254,6 +255,126 @@ TEST(ConcurrentCompile, ExhaustedBudgetClassifiesAsAborted) {
       session.compile(tpch::query_sources(*q), options);
   EXPECT_FALSE(r.success());
   EXPECT_EQ(r.status().code(), support::StatusCode::kAborted);
+}
+
+// ---- Retention: each (file id, name) slot keeps its two newest hashes ----
+
+/// TPC-H 6's sources with a comment-only edit of the query file.
+std::vector<driver::NamedSource> edited_sources(const tpch::QueryCase& q,
+                                                const std::string& edit) {
+  std::vector<driver::NamedSource> sources = tpch::query_sources(q);
+  sources.back().text += "\n// edit " + edit + "\n";
+  return sources;
+}
+
+/// Parse and elaborate only: the retention rule lives in those two caches.
+driver::CompileOptions frontend_options(const tpch::QueryCase& q) {
+  driver::CompileOptions options = tpch::query_options(q);
+  options.run_drc = false;
+  options.emit_ir = false;
+  options.emit_vhdl = false;
+  return options;
+}
+
+std::uint64_t parse_misses() {
+  return obs::MetricsRegistry::global()
+      .counter("tydi.parse.cache_misses")
+      .value();
+}
+
+TEST(SessionRetention, ThousandEditsKeepBothCachesFlat) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = frontend_options(*q);
+  // The stdlib plus the query's own sources.
+  const std::size_t files = tpch::query_sources(*q).size() + 1;
+
+  driver::CompileSession session;
+  std::size_t steady_versions = 0;
+  for (int edit = 0; edit < 1000; ++edit) {
+    driver::CompileResult r =
+        session.compile(edited_sources(*q, std::to_string(edit)), options);
+    ASSERT_TRUE(r.success()) << r.report();
+    ASSERT_LE(session.parse_cache_size(),
+              files * driver::CompileSession::kVersionsPerSource)
+        << "edit " << edit;
+    // From the second edit on, the slot of the query file is full: every
+    // edit retires one hash and adds one.
+    if (edit == 2) steady_versions = session.memo().version_count();
+    if (edit > 2) {
+      ASSERT_EQ(session.memo().version_count(), steady_versions)
+          << "edit " << edit;
+    }
+  }
+  EXPECT_GT(steady_versions, 0u);
+}
+
+TEST(SessionRetention, AlternatingTwoVersionsStaysWarm) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = frontend_options(*q);
+  driver::CompileSession session;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t misses_before = parse_misses();
+    driver::CompileResult r =
+        session.compile(edited_sources(*q, i % 2 == 0 ? "a" : "b"), options);
+    ASSERT_TRUE(r.success()) << r.report();
+    if (i < 2) continue;
+    EXPECT_EQ(parse_misses(), misses_before) << "compile " << i;
+    EXPECT_EQ(r.template_cache.hit_rate(), 1.0) << "compile " << i;
+  }
+}
+
+TEST(SessionRetention, ConcurrentEditsStayByteIdenticalAndBounded) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = tpch::query_options(*q);
+  std::size_t one_compile_versions = 0;
+  {
+    driver::CompileSession fresh;
+    ASSERT_TRUE(tpch::compile_query(*q, fresh).success());
+    one_compile_versions = fresh.memo().version_count();
+  }
+
+  driver::CompileSession session;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 12;
+  std::vector<std::string> failures(kThreads);
+  {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t]() {
+        for (int round = 0; round < kRounds; ++round) {
+          // Every thread edits the same query file, so hashes retire while
+          // the other threads' compiles are in flight.
+          const std::vector<driver::NamedSource> sources = edited_sources(
+              *q, std::to_string(t) + "." + std::to_string(round));
+          driver::CompileResult r = session.compile(sources, options);
+          driver::CompileResult golden = driver::compile(sources, options);
+          if (!r.success() || r.vhdl_text != golden.vhdl_text ||
+              r.ir_text != golden.ir_text) {
+            failures[t] = "round " + std::to_string(round) + ": " +
+                          (r.success() ? "output differs from sessionless"
+                                       : r.report());
+            return;
+          }
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": " << failures[t];
+  }
+  // Versions published after the last sweep by compiles then in flight (at
+  // most one per thread) outlive it; everything else is the two live hashes.
+  EXPECT_LE(session.memo().version_count(),
+            one_compile_versions *
+                (driver::CompileSession::kVersionsPerSource + kThreads));
+  // The next retirement sweeps them too.
+  ASSERT_TRUE(session.compile(edited_sources(*q, "last"), options).success());
+  EXPECT_LE(session.memo().version_count(),
+            one_compile_versions * driver::CompileSession::kVersionsPerSource);
 }
 
 }  // namespace

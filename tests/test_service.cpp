@@ -289,7 +289,9 @@ TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {
   EXPECT_TRUE(obs::json_valid(health.payload)) << health.payload;
   for (const char* key :
        {"\"status\":\"ok\"", "\"uptime_ms\"", "\"in_flight\"", "\"requests\"",
-        "\"failures\"", "\"memo_hit_rate\"", "\"last_abort\""}) {
+        "\"failures\"", "\"memo_hit_rate\"", "\"parse_cache_entries\"",
+        "\"memo_streamlets\"", "\"memo_impls\"", "\"memo_versions\"",
+        "\"last_abort\""}) {
     EXPECT_NE(health.payload.find(key), std::string::npos)
         << "missing " << key << " in " << health.payload;
   }
@@ -490,6 +492,41 @@ TEST(ServiceAnswers, EditedFileIsRecompiled) {
   // The changed stamps replaced the entry: nothing stored until the new
   // bytes compile a second time.
   EXPECT_EQ(health_field(svc, "answers_cached"), 0);
+  std::remove(path.c_str());
+}
+
+// HEALTH reports the session cache sizes, and edits of one FILE source keep
+// them flat: each (file id, name) slot holds its two newest hashes, and the
+// memo keeps only versions stamped with a held hash.
+TEST(ServiceHealth, CacheSizesStayFlatUnderEdits) {
+  const std::string path =
+      "/tmp/tydi_health_" + std::to_string(::getpid()) + ".td";
+  const std::string line = "FILE " + path + " top vhdl";
+  auto compile_edit = [&](service::CompileService& svc, int edit) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << "type t = Stream(Bit(8), d=1, c=2);\n"
+           "streamlet s { a: t in, b: t out, }\n"
+           "impl top of s {\n  a => b,\n}\n// edit "
+        << edit << "\n";
+    ASSERT_TRUE(svc.handle_line(line).ok());
+  };
+
+  service::CompileService svc;
+  EXPECT_EQ(health_field(svc, "parse_cache_entries"), 0);
+  EXPECT_EQ(health_field(svc, "memo_versions"), 0);
+  compile_edit(svc, 0);
+  // The stdlib and the file, one hash each; streamlet s and impl top.
+  EXPECT_EQ(health_field(svc, "parse_cache_entries"), 2);
+  EXPECT_EQ(health_field(svc, "memo_streamlets"), 1);
+  EXPECT_EQ(health_field(svc, "memo_impls"), 1);
+  EXPECT_EQ(health_field(svc, "memo_versions"), 2);
+  for (int edit = 1; edit < 6; ++edit) {
+    compile_edit(svc, edit);
+    EXPECT_EQ(health_field(svc, "parse_cache_entries"), 3) << "edit " << edit;
+    EXPECT_EQ(health_field(svc, "memo_streamlets"), 1) << "edit " << edit;
+    EXPECT_EQ(health_field(svc, "memo_impls"), 1) << "edit " << edit;
+    EXPECT_EQ(health_field(svc, "memo_versions"), 4) << "edit " << edit;
+  }
   std::remove(path.c_str());
 }
 
